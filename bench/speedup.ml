@@ -9,8 +9,9 @@
    only pays off once [Domain.recommended_domain_count] admits real
    concurrency — which is why every row records the PHYSICAL host
    domain count next to the EFFECTIVE one the run used, and marks rows
-   that took the cooperative single-core fallback instead of spawning
-   domains.  A reader (or the CI gate) can then tell a real scaling
+   that ran sequentially (a single-core parallel run is a sequential
+   run) instead of spawning domains — the [cooperative_fallback] flag.
+   A reader (or the CI gate) can then tell a real scaling
    measurement from a placeholder taken on a starved runner.
 
    The scaling section sweeps forced host-domain counts 1/2/4/8: each
@@ -23,10 +24,9 @@
    ([Libdn.Scheduler.set_host_domains]) and runs twice — once with the
    disabled {!Telemetry.Profile.null} sink, once with a live profile —
    so the report carries (a) a truthful per-partition
-   run/exchange/spin/park/barrier stall breakdown (the cooperative
-   single-core fallback structurally cannot produce one: every
-   round-robin visit progresses, so its spin/park counters sit at
-   zero), and (b) the profiler's enabled-vs-disabled overhead measured
+   run/exchange/spin/park/barrier stall breakdown (a single-core
+   parallel run is a sequential run, which has no spin or park phases
+   to break down), and (b) the profiler's enabled-vs-disabled overhead measured
    on the same execution path.  A discarded warmup run on that same
    path precedes the pair, so the first measured run no longer pays the
    one-off domain-spawn and page-fault cost that used to show up as a
@@ -93,9 +93,10 @@ let stall_breakdown profile =
   | _ -> []
 
 (* How many domains a parallel run at [forced] host domains actually
-   uses for [plan], and whether it is the cooperative fallback: 1
-   domain below the spawn threshold, one per placement group when the
-   placement pass fused partitions, one per partition otherwise. *)
+   uses for [plan], and whether it ran sequentially instead (the
+   [cooperative_fallback] flag): 1 domain below the spawn threshold,
+   one per placement group when the placement pass fused partitions,
+   one per partition otherwise. *)
 let effective_domains plan ~forced ~groups =
   if forced <= 1 then (1, true)
   else
@@ -173,7 +174,7 @@ let bench ~name ~cycles plan =
   (* Real-domain section: force one domain per partition — even on a
      single-core host — so the profiled and unprofiled runs take the
      SAME execution path and their delta is the profiler's cost, not a
-     cooperative-vs-domains policy change.  The discarded warmup run
+     sequential-vs-domains policy change.  The discarded warmup run
      eats the one-off spawn/fault cost first. *)
   let n_units = Fireripper.Plan.n_units plan in
   Libdn.Scheduler.set_host_domains n_units;
@@ -203,7 +204,7 @@ let bench ~name ~cycles plan =
       ("cycles", Telemetry.Json.Int cycles);
       ("physical_domains", Telemetry.Json.Int physical);
       ( "cooperative_fallback",
-        (* Whether the headline seq/par rows above ran cooperatively
+        (* Whether the headline par rows above ran sequentially
            (single-domain host): their "speedup" then measures scheduler
            bookkeeping, not parallelism. *)
         Telemetry.Json.Bool (physical <= 1) );

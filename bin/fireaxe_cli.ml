@@ -237,18 +237,6 @@ let batch_cycles_arg =
            starves) up to this cap.  1, the default, keeps the historical \
            per-cycle exchange; anything below 1 exits 2.")
 
-let spin_budget_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "spin-budget" ] ~docv:"SPINS"
-        ~doc:
-          "Initial spin budget of the parallel scheduler's spin-then-park idle \
-           policy: a starved domain re-checks its inputs $(docv) times before \
-           parking on its notifier.  $(b,0) parks immediately (kindest on \
-           oversubscribed hosts); unset keeps the adaptive default.  Negative \
-           values exit 2.")
-
 let placement_arg =
   Arg.(
     value
@@ -263,16 +251,11 @@ let placement_arg =
 
 (* Validates the scheduler-tuning flags together (exit 2 on bad values)
    and resolves the placement spelling to its policy. *)
-let scheduler_knobs ~batch_cycles ~spin_budget ~placement =
+let scheduler_knobs ~batch_cycles ~placement =
   if batch_cycles < 1 then begin
     Fmt.epr "--batch-cycles %d: want a positive target-cycle count@." batch_cycles;
     exit 2
   end;
-  (match spin_budget with
-  | Some s when s < 0 ->
-    Fmt.epr "--spin-budget %d: want a non-negative spin count@." s;
-    exit 2
-  | _ -> ());
   match Fireaxe.Place.policy_of_string placement with
   | Ok p -> p
   | Error msg ->
@@ -508,7 +491,7 @@ let make_progress_printer ~cycles ~units ~transfers () =
       eta
 
 let run_remote ~telemetry ~profile ~profile_handle ~collect ~flush ~scheduler
-    ~batch_cycles ~spin_budget ~placement ~engine ~lanes
+    ~batch_cycles ~placement ~engine ~lanes
     ~checkpoint_dir ~checkpoint_every ~chaos_seed ~resume ~vcd_path ~wave_out ~sample
     ~flight_depth ~flight_dir ~flight_ref ~progress design plan cycles =
   let n = Fireaxe.Plan.n_units plan in
@@ -528,7 +511,7 @@ let run_remote ~telemetry ~profile ~profile_handle ~collect ~flush ~scheduler
     | _ -> ()
   in
   let sv =
-    Fireaxe.supervise ~scheduler ~batch_cycles ?spin_budget ~placement
+    Fireaxe.supervise ~scheduler ~batch_cycles ~placement
       ~telemetry ~profile ~engine
       ?lanes:(if lanes > 1 then Some lanes else None)
       ?checkpoint_dir ~every:checkpoint_every ?chaos ~on_event
@@ -648,11 +631,11 @@ let run_remote ~telemetry ~profile ~profile_handle ~collect ~flush ~scheduler
     exit 4
   end
 
-let run design mode select routers scheduler batch_cycles spin_budget placement
+let run design mode select routers scheduler batch_cycles placement
     engine lanes cycles vcd_path wave_out sample
     every resume save_snap check remote metrics trace_file progress checkpoint_dir
     checkpoint_every chaos_seed flight_depth flight_dir wavediff profile_file =
-  let placement = scheduler_knobs ~batch_cycles ~spin_budget ~placement in
+  let placement = scheduler_knobs ~batch_cycles ~placement in
   (* A live sink only when some exporter was requested; otherwise the
      shared disabled sink keeps the hot path free. *)
   let telemetry =
@@ -728,13 +711,13 @@ let run design mode select routers scheduler batch_cycles spin_budget placement
       let plan = Fireaxe.compile ~config:(config_of design mode select routers) circuit in
       if remote then
         run_remote ~telemetry ~profile ~profile_handle ~collect:collect_profiles
-          ~flush:emit_exporters ~scheduler ~batch_cycles ~spin_budget ~placement
+          ~flush:emit_exporters ~scheduler ~batch_cycles ~placement
           ~engine ~lanes ~checkpoint_dir
           ~checkpoint_every ~chaos_seed ~resume ~vcd_path ~wave_out ~sample ~flight_depth
           ~flight_dir ~flight_ref ~progress design plan cycles
       else begin
         let h =
-          Fireaxe.instantiate ~scheduler ~batch_cycles ?spin_budget ~placement
+          Fireaxe.instantiate ~scheduler ~batch_cycles ~placement
             ~telemetry ~profile ~engine ~lanes plan
         in
         profile_handle := Some h;
@@ -1046,8 +1029,8 @@ let profile_file_arg =
            remote-worker wire cost, and the static-vs-measured partition load model.  \
            A flamegraph-compatible Chrome-trace view lands next to it as \
            $(docv).trace.json.  Profiled $(b,--scheduler par) runs always use one \
-           domain per partition (never the cooperative single-core fallback), so the \
-           breakdown reflects real parallel execution.")
+           domain per partition (even on a single-core host, where an unprofiled \
+           par run is a seq run), so the breakdown reflects real parallel execution.")
 
 let wave_diff_arg =
   Arg.(
@@ -1063,7 +1046,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a partitioned simulation and cross-check it against the monolithic one.")
     Term.(
       const run $ design_arg $ mode_arg $ select_arg $ routers_arg $ scheduler_arg
-      $ batch_cycles_arg $ spin_budget_arg $ placement_arg
+      $ batch_cycles_arg $ placement_arg
       $ engine_arg $ lanes_arg $ cycles_arg $ vcd_arg $ wave_out_arg $ sample_arg $ every_arg $ resume_arg $ save_snap_arg
       $ check_arg $ remote_arg $ metrics_arg $ trace_file_arg $ progress_arg
       $ checkpoint_dir_arg $ checkpoint_every_arg $ chaos_arg $ flight_arg
@@ -1090,11 +1073,11 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Print the interface-width performance sweep for a transport.")
     Term.(const sweep $ transport_arg)
 
-let validate design scheduler batch_cycles spin_budget placement engine lanes
+let validate design scheduler batch_cycles placement engine lanes
     wave_out profile_file =
   (* Generic validation: run until a design-specific "finished" register
      condition; for designs without one, compare state after N cycles. *)
-  let placement = scheduler_knobs ~batch_cycles ~spin_budget ~placement in
+  let placement = scheduler_knobs ~batch_cycles ~placement in
   let profile =
     if profile_file <> None then Telemetry.Profile.create () else Telemetry.Profile.null
   in
@@ -1105,7 +1088,7 @@ let validate design scheduler batch_cycles spin_budget placement engine lanes
   if wave_out <> None then require_probes design probes ~flag:"--wave-out";
   let go ~circuit ~setup ~finished =
     let v =
-      Fireaxe.validate ~scheduler ~batch_cycles ?spin_budget ~placement ~engine
+      Fireaxe.validate ~scheduler ~batch_cycles ~placement ~engine
         ~lanes ~profile ~name:design.d_name ~circuit
         ~selection:design.d_selection ~probes ?wave_out ~setup ~finished ()
     in
@@ -1178,7 +1161,7 @@ let validate_cmd =
     (Cmd.info "validate" ~doc:"Table II methodology: monolithic vs exact vs fast cycle counts.")
     Term.(
       const validate $ design_arg $ scheduler_arg $ batch_cycles_arg
-      $ spin_budget_arg $ placement_arg $ engine_arg $ lanes_arg
+      $ placement_arg $ engine_arg $ lanes_arg
       $ wave_out_arg $ profile_file_arg)
 
 let runs_arg = Arg.(value & opt int 100 & info [ "runs" ] ~doc:"Simulations in the campaign.")

@@ -49,10 +49,10 @@ let placement_groups ?profile ?placement plan =
   | None -> None
   | Some policy -> Platform.Place.groups ?profile ~policy plan
 
-let instantiate ?fame5 ?scheduler ?batch_cycles ?spin_budget ?placement
+let instantiate ?fame5 ?scheduler ?batch_cycles ?placement
     ?telemetry ?profile ?engine ?lanes plan =
   let groups = placement_groups ?profile ?placement plan in
-  Runtime.instantiate ?fame5 ?scheduler ?batch_cycles ?spin_budget ?groups
+  Runtime.instantiate ?fame5 ?scheduler ?batch_cycles ?groups
     ?telemetry ?profile ?engine ?lanes plan
 
 (** Instantiates [plan] with [remote_units] hosted in worker processes
@@ -61,12 +61,12 @@ let instantiate ?fame5 ?scheduler ?batch_cycles ?spin_budget ?placement
     workers respawned under [policy], optional seeded [chaos].  Drive
     it with {!Resilience.Supervisor.run}; {!Resilience.Supervisor.close}
     when done. *)
-let supervise ?scheduler ?batch_cycles ?spin_budget ?placement ?read_timeout
+let supervise ?scheduler ?batch_cycles ?placement ?read_timeout
     ?telemetry ?profile ?engine ?lanes ?checkpoint_dir ?every ?policy ?chaos
     ?on_event ~worker ~remote_units plan =
   let groups = placement_groups ?profile ?placement plan in
   let handle, _conns =
-    Runtime.instantiate_remote ?scheduler ?batch_cycles ?spin_budget ?groups
+    Runtime.instantiate_remote ?scheduler ?batch_cycles ?groups
       ?read_timeout ?telemetry ?profile ?engine ?lanes ~worker ~remote_units
       plan
   in
@@ -155,7 +155,7 @@ let wave_diff ?(scheduler = Libdn.Scheduler.default) ?(mode = Spec.Exact) ?engin
     [circuit] is re-generated per run so simulations are independent.
     When [probes] are given, a side-by-side {!wave_diff} of the
     monolithic and exact runs localizes any divergence. *)
-let validate ?(scheduler = Libdn.Scheduler.default) ?batch_cycles ?spin_budget
+let validate ?(scheduler = Libdn.Scheduler.default) ?batch_cycles
     ?placement ?engine ?lanes ?profile ?(probes = []) ?wave_out ~name ~circuit
     ~selection ?(setup = fun ~poke:_ -> ()) ~finished ?(max_cycles = 1_000_000)
     () =
@@ -180,7 +180,7 @@ let validate ?(scheduler = Libdn.Scheduler.default) ?batch_cycles ?spin_budget
     let config = { Spec.default_config with Spec.mode; selection } in
     let plan = compile ~config (circuit ()) in
     let handle =
-      instantiate ~scheduler ?batch_cycles ?spin_budget ?placement ?engine
+      instantiate ~scheduler ?batch_cycles ?placement ?engine
         ?lanes ?profile plan
     in
     run_partitioned_until handle ~setup ~finished ~max_cycles

@@ -51,16 +51,14 @@ val report : Plan.t -> Report.t
     [batch_cycles] caps cycle-batched token exchange — the software
     analogue of the paper's fast-mode crossing amortization (1 =
     per-cycle, the default; bit-exact either way by LI-BDN
-    determinism).  [spin_budget] tunes the parallel scheduler's
-    spin-then-park idle policy (0 = never spin).  [placement] picks the
-    partition-to-domain assignment; [Place.Auto] weighs units by
+    determinism).  [placement] picks the partition-to-domain
+    assignment; [Place.Auto] weighs units by
     [profile]'s load model when it recorded one (a previous run's
     measured truth), else by the static resource estimate. *)
 val instantiate :
   ?fame5:bool ->
   ?scheduler:Libdn.Scheduler.t ->
   ?batch_cycles:int ->
-  ?spin_budget:int ->
   ?placement:Place.policy ->
   ?telemetry:Telemetry.t ->
   ?profile:Telemetry.Profile.t ->
@@ -80,7 +78,6 @@ val instantiate :
 val supervise :
   ?scheduler:Libdn.Scheduler.t ->
   ?batch_cycles:int ->
-  ?spin_budget:int ->
   ?placement:Place.policy ->
   ?read_timeout:float ->
   ?telemetry:Telemetry.t ->
@@ -159,7 +156,6 @@ val wave_diff :
 val validate :
   ?scheduler:Libdn.Scheduler.t ->
   ?batch_cycles:int ->
-  ?spin_budget:int ->
   ?placement:Place.policy ->
   ?engine:Rtlsim.Sim.engine ->
   ?lanes:int ->

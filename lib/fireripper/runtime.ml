@@ -14,7 +14,6 @@ type handle = {
   h_scheduler : Libdn.Scheduler.t;  (** execution policy for [run]/[run_until] *)
   h_batch_cycles : int;
       (** cap on cycle-batched token exchange (1 = per-cycle) *)
-  h_spin_budget : int option;  (** spin-then-park tuning (0 = never spin) *)
   h_engines : Libdn.Engine.t array;  (** indexed by plan unit *)
   h_sims : Rtlsim.Sim.t option array;  (** backing sims of non-FAME-5 units *)
   h_fame5 : Goldengate.Fame5.t option array;
@@ -105,12 +104,11 @@ let build_network ?(telemetry = Telemetry.null)
     thread count.
 
     [batch_cycles] caps cycle-batched token exchange (1 = per-cycle,
-    the default; bit-exact either way); [spin_budget] tunes the
-    parallel scheduler's spin-then-park idle policy (0 = never spin);
-    [groups] applies a domain-placement assignment (one slot per unit —
-    see [Platform.Place]) fusing partitions onto shared domains. *)
+    the default; bit-exact either way); [groups] applies a
+    domain-placement assignment (one slot per unit — see
+    [Platform.Place]) fusing partitions onto shared domains. *)
 let instantiate ?(fame5 = false) ?(scheduler = Libdn.Scheduler.default)
-    ?(batch_cycles = Libdn.Scheduler.default_batch_cycles) ?spin_budget ?groups
+    ?(batch_cycles = Libdn.Scheduler.default_batch_cycles) ?groups
     ?(telemetry = Telemetry.null) ?(profile = Telemetry.Profile.null) ?engine
     ?lanes (plan : Plan.t) =
   let n = Plan.n_units plan in
@@ -147,7 +145,6 @@ let instantiate ?(fame5 = false) ?(scheduler = Libdn.Scheduler.default)
     h_net = net;
     h_scheduler = scheduler;
     h_batch_cycles = batch_cycles;
-    h_spin_budget = spin_budget;
     h_engines = engines;
     h_sims = sims;
     h_fame5 = fame5s;
@@ -174,7 +171,7 @@ let with_unit_fir (plan : Plan.t) k f =
     (snapshots DO cover them, through the worker pipe protocol).
     [read_timeout] bounds every worker reply wait in seconds. *)
 let instantiate_remote ?(scheduler = Libdn.Scheduler.default)
-    ?(batch_cycles = Libdn.Scheduler.default_batch_cycles) ?spin_budget ?groups
+    ?(batch_cycles = Libdn.Scheduler.default_batch_cycles) ?groups
     ?read_timeout ?(telemetry = Telemetry.null)
     ?(profile = Telemetry.Profile.null) ?engine ?lanes ~worker ~remote_units
     (plan : Plan.t) =
@@ -216,7 +213,6 @@ let instantiate_remote ?(scheduler = Libdn.Scheduler.default)
       h_net = net;
       h_scheduler = scheduler;
       h_batch_cycles = batch_cycles;
-      h_spin_budget = spin_budget;
       h_engines = engines;
       h_sims = sims;
       h_fame5 = fame5s;
@@ -269,13 +265,12 @@ let collect_remote_profiles h =
     (remote_conns h)
 
 let run h ~cycles =
-  Libdn.Scheduler.run ~scheduler:h.h_scheduler ~batch_cycles:h.h_batch_cycles
-    ?spin_budget:h.h_spin_budget h.h_net ~cycles
+  Libdn.Scheduler.run ~scheduler:h.h_scheduler ~batch_cycles:h.h_batch_cycles h.h_net
+    ~cycles
 
 let run_until h ~max_cycles pred =
   Libdn.Scheduler.run_until ~scheduler:h.h_scheduler
-    ~batch_cycles:h.h_batch_cycles ?spin_budget:h.h_spin_budget h.h_net
-    ~max_cycles
+    ~batch_cycles:h.h_batch_cycles h.h_net ~max_cycles
     (fun _ -> pred h)
 
 let engine h k = h.h_engines.(k)

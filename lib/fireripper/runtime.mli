@@ -7,7 +7,6 @@ type handle = {
   h_scheduler : Libdn.Scheduler.t;
   h_batch_cycles : int;
       (** cap on cycle-batched token exchange (1 = per-cycle) *)
-  h_spin_budget : int option;  (** spin-then-park tuning (0 = never spin) *)
   h_engines : Libdn.Engine.t array;
   h_sims : Rtlsim.Sim.t option array;
   h_fame5 : Goldengate.Fame5.t option array;
@@ -35,16 +34,13 @@ val fame5_eligible : Plan.unit_part -> (string list * string) option
     units ignore [lanes]: their lane count is their thread count.
 
     [batch_cycles] caps cycle-batched token exchange (1 = per-cycle,
-    the default; bit-exact either way by LI-BDN determinism);
-    [spin_budget] tunes the parallel scheduler's spin-then-park idle
-    policy (0 = never spin); [groups] applies a domain-placement
-    assignment (one slot per unit — see [Platform.Place]) fusing
-    partitions onto shared domains. *)
+    the default; bit-exact either way by LI-BDN determinism); [groups]
+    applies a domain-placement assignment (one slot per unit — see
+    [Platform.Place]) fusing partitions onto shared domains. *)
 val instantiate :
   ?fame5:bool ->
   ?scheduler:Libdn.Scheduler.t ->
   ?batch_cycles:int ->
-  ?spin_budget:int ->
   ?groups:int array ->
   ?telemetry:Telemetry.t ->
   ?profile:Telemetry.Profile.t ->
@@ -67,7 +63,6 @@ val instantiate :
 val instantiate_remote :
   ?scheduler:Libdn.Scheduler.t ->
   ?batch_cycles:int ->
-  ?spin_budget:int ->
   ?groups:int array ->
   ?read_timeout:float ->
   ?telemetry:Telemetry.t ->

@@ -179,25 +179,34 @@ module Bqueue = struct
     Mutex.unlock t.bq_notif.Notifier.n_mu;
     v
 
-  (* Head peek without taking the notifier mutex: for batched sweeps
-     that snapshot several sibling queues under one lock the caller
-     already holds. *)
-  let peek_opt_unlocked t = Queue.peek_opt t.bq_q
-
   (* Slab peek: up to [n] head tokens in queue order, without touching
-     the lock — the multi-cycle sweep snapshots every sibling queue's
-     batch under the single notifier lock the caller already holds.
-     Lazy [Seq] traversal, so cost is O(min n length) not O(length). *)
+     the lock — a sweep snapshots every sibling queue's batch under the
+     single notifier lock the caller already holds.  Stops after [n]
+     tokens, so cost is O(min n length) not O(length), and it allocates
+     nothing but the result (a sweep runs it per input every cycle). *)
   let peek_upto_unlocked t n =
-    if n <= 0 then [||] else Queue.to_seq t.bq_q |> Seq.take n |> Array.of_seq
+    let k = min n (Queue.length t.bq_q) in
+    if k <= 0 then [||]
+    else begin
+      let a = Array.make k (Queue.peek t.bq_q) in
+      if k > 1 then begin
+        let i = ref 0 in
+        try
+          Queue.iter
+            (fun x ->
+              if !i = k then raise_notrace Exit;
+              a.(!i) <- x;
+              incr i)
+            t.bq_q
+        with Exit -> ()
+      end;
+      a
+    end
 
-  (* Pops the head without bumping the notifier: the caller batches
-     drops across sibling queues under one lock and bumps once.  Must be
-     called with the notifier mutex held and the queue non-empty. *)
-  let drop_unlocked t = ignore (Queue.pop t.bq_q)
-
-  (* Slab drop, same contract as {!drop_unlocked}: the queue must hold
-     at least [n] elements. *)
+  (* Slab drop without bumping the notifier: the caller batches drops
+     across sibling queues under one lock and bumps once.  Must be
+     called with the notifier mutex held and at least [n] elements
+     queued. *)
   let drop_n_unlocked t n =
     for _ = 1 to n do
       ignore (Queue.pop t.bq_q)

@@ -91,25 +91,17 @@ module Bqueue : sig
 
   val peek_opt : 'a t -> 'a option
 
-  (** Head peek without locking: for batched sweeps that snapshot
-      several sibling queues under one notifier lock the caller already
-      holds. *)
-  val peek_opt_unlocked : 'a t -> 'a option
-
-  (** Up to [n] head tokens in queue order, without locking (same
-      contract as {!peek_opt_unlocked}); O(min n length). *)
+  (** Up to [n] head tokens in queue order, without locking: for
+      sweeps that snapshot several sibling queues under the notifier
+      lock the caller already holds.  O(min n length). *)
   val peek_upto_unlocked : 'a t -> int -> 'a array
 
   (** Drops the head token, waking producers blocked on a full queue. *)
   val drop : 'a t -> unit
 
-  (** Pops the head without bumping the notifier: callers batch drops
+  (** Pops [n] heads without bumping the notifier: callers batch drops
       across sibling queues under one lock and bump once.  Call with the
-      notifier mutex held and the queue non-empty. *)
-  val drop_unlocked : 'a t -> unit
-
-  (** Slab {!drop_unlocked}: pops [n] heads; the queue must hold at
-      least [n] elements. *)
+      notifier mutex held and at least [n] elements queued. *)
   val drop_n_unlocked : 'a t -> int -> unit
 
   (** Locked slab drop: [n] heads gone under one lock with one bump. *)

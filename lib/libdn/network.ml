@@ -11,13 +11,14 @@
    (the fireFSM) when all of its input channels hold a token and all of
    its output channels have fired.
 
-   This module is the passive *topology*: partitions, channels,
-   connections, seed tokens, and the two primitive state transitions
-   ({!try_fire}, {!try_advance}) those firing rules allow.  It does not
-   decide WHEN to attempt them — that is the {!Scheduler}'s job, which
-   may sweep partitions round-robin in one thread or run each partition
-   on its own domain.  Tokens are the only cross-partition (and
-   cross-domain) communication, mirroring the QSFP cable. *)
+   This module is the passive *topology* — partitions, channels,
+   connections, seed tokens — plus the one firing path,
+   {!sweep_batch}, which applies those rules to one partition for up to
+   K target cycles.  It does not decide WHEN to sweep which partition:
+   that is the {!Scheduler}'s job, which sweeps them round-robin in one
+   thread or runs groups of them on their own domains.  Tokens are the
+   only cross-partition (and cross-domain) communication, mirroring the
+   QSFP cable. *)
 
 type in_chan = {
   ic_spec : Channel.spec;
@@ -27,7 +28,7 @@ type in_chan = {
   ic_peak : Telemetry.gauge;  (** peak queue occupancy observed *)
   ic_stalled : Telemetry.counter;
       (** times this input was the blocking one when its partition
-          stalled (see {!blocking_input}) *)
+          stalled (see {!record_stall}) *)
   ic_prof : Telemetry.Profile.chan;
       (** per-channel exchange cost (enq+deq ns, batch sizes) *)
 }
@@ -269,11 +270,12 @@ let set_groups t assign =
     partition). *)
 let groups t = t.groups
 
-(** Applies every partition's drive hook for target cycle 0.  Schedulers
-    call this once at the start of each run. *)
+(** Applies every partition's drive hook for the cycle it is about to
+    simulate.  Schedulers call this once at the start of each run, so a
+    run that resumes at cycle N drives cycle N. *)
 let prime t =
   freeze t;
-  Array.iter (fun p -> p.pt_drive p.pt_engine 0) t.frozen
+  Array.iter (fun p -> p.pt_drive p.pt_engine p.pt_cycle) t.frozen
 
 (** Captures the structured network-state snapshot every diagnostic
     derives from: per partition, the target cycle, input-queue depths,
@@ -317,192 +319,62 @@ let introspect t : Telemetry.Snapshot.t =
   in
   { Telemetry.Snapshot.parts }
 
-let diagnose t = Telemetry.Snapshot.to_string (introspect t)
-
-(* Applies the head token of input channel [i] to the engine inputs. *)
-let apply_head p i =
-  let ic = p.pt_ins.(i) in
-  match Channel.Bqueue.peek_opt ic.ic_queue with
-  | Some tok -> Channel.apply_token ic.ic_spec p.pt_engine.Engine.set_input tok
-  | None -> invalid_arg "apply_head: empty queue"
-
-(** Attempts the output-channel firing rule: if [oc] has not fired for
-    the current target cycle and every input channel it depends on holds
-    a token, evaluates its cone and sends the token to all destinations.
-    [block] selects backpressure behavior on a full destination queue
-    (parallel scheduler blocks, sequential treats it as a hard error);
-    [abort] lets a blocked push bail out.  Returns whether it fired. *)
-let try_fire t p oc ~block ~abort =
-  Telemetry.incr oc.oc_attempts;
-  if
-    (not oc.oc_fired)
-    && List.for_all
-         (fun i -> not (Channel.Bqueue.is_empty p.pt_ins.(i).ic_queue))
-         oc.oc_deps
-  then begin
-    List.iter (apply_head p) oc.oc_deps;
-    oc.oc_eval ();
-    let tok = Channel.token_of_ports_batch oc.oc_spec p.pt_engine.Engine.get_ports in
-    oc.oc_fired <- true;
-    List.iter
-      (fun (dp, di) ->
-        let dst = t.frozen.(dp).pt_ins.(di) in
-        Channel.Bqueue.push dst.ic_queue (Array.copy tok) ~block ~abort;
-        Atomic.incr t.token_transfers;
-        if t.tel_on then begin
-          Telemetry.incr dst.ic_enq;
-          Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
-        end)
-      oc.oc_dests;
-    Telemetry.incr oc.oc_fires;
-    true
-  end
-  else false
-
-(** Attempts the fireFSM advance rule: if every input channel holds a
-    token and every output channel has fired, applies the inputs, steps
-    the engine one target cycle, consumes the tokens, resets the fired
-    flags and calls the drive hook for the new cycle.  Returns whether
-    it advanced. *)
-let try_advance p =
-  if
-    Array.for_all (fun ic -> not (Channel.Bqueue.is_empty ic.ic_queue)) p.pt_ins
-    && Array.for_all (fun oc -> oc.oc_fired) p.pt_outs
-  then begin
-    Array.iteri (fun i _ -> apply_head p i) p.pt_ins;
-    p.pt_engine.Engine.eval_comb ();
-    p.pt_engine.Engine.step_seq ();
-    Array.iter
-      (fun ic ->
-        Channel.Bqueue.drop ic.ic_queue;
-        Telemetry.incr ic.ic_deq)
-      p.pt_ins;
-    Array.iter (fun oc -> oc.oc_fired <- false) p.pt_outs;
-    p.pt_cycle <- p.pt_cycle + 1;
-    p.pt_drive p.pt_engine p.pt_cycle;
-    true
-  end
-  else false
-
-(** One batched attempt over everything partition [p] can do — the
-    amortized equivalent of [try_fire] on every output followed by
-    [try_advance], designed to touch the shared queue locks a constant
-    number of times per sweep instead of a few times per channel:
-
-    - ONE notifier lock snapshots every input channel's head token.
-      Sound because this partition's domain is the only consumer: a
-      non-empty head stays the head until we drop it, and a token
-      pushed after the snapshot is caught by the scheduler's version
-      guard (the push bumps the version, forcing a re-sweep before any
-      park).
-    - Every locally-ready output fires from that snapshot; each head is
-      applied to the engine at most once per sweep even when several
-      outputs share the dependency.
-    - The advance rule consumes all heads under ONE lock with a single
-      wakeup bump, instead of a lock + broadcast per queue.
-
-    Returns whether any transition happened. *)
-let sweep t p ~block ~abort =
-  freeze t;
-  let n = p.pt_notif in
+(* The flush of {!sweep_batch}: drops [k] consumed heads of every input
+   of [p], then pushes each output's pending slab.  A profile splits
+   the locked drop's cost evenly across the input channels. *)
+let flush t p pending ~k ~block ~abort =
   let ni = Array.length p.pt_ins in
-  let heads =
-    if ni = 0 then [||]
-    else begin
-      Mutex.lock n.Channel.Notifier.n_mu;
-      let hs =
-        Array.map (fun ic -> Channel.Bqueue.peek_opt_unlocked ic.ic_queue) p.pt_ins
-      in
-      Mutex.unlock n.Channel.Notifier.n_mu;
-      hs
-    end
-  in
-  let applied = Array.make (max ni 1) false in
-  let apply_once i =
-    if not applied.(i) then begin
-      applied.(i) <- true;
-      match heads.(i) with
-      | Some tok ->
-        Channel.apply_token p.pt_ins.(i).ic_spec p.pt_engine.Engine.set_input tok
-      | None -> invalid_arg "sweep: applying empty input"
-    end
-  in
-  let have i = heads.(i) <> None in
-  let progress = ref false in
-  Array.iter
-    (fun oc ->
-      Telemetry.incr oc.oc_attempts;
-      if (not oc.oc_fired) && List.for_all have oc.oc_deps then begin
-        List.iter apply_once oc.oc_deps;
-        oc.oc_eval ();
-        let tok = Channel.token_of_ports_batch oc.oc_spec p.pt_engine.Engine.get_ports in
-        oc.oc_fired <- true;
-        List.iter
-          (fun (dp, di) ->
-            let dst = t.frozen.(dp).pt_ins.(di) in
-            if t.prof_on then begin
-              (* Enqueue cost lands on the destination channel and on
-                 the executing partition's exchange slice. *)
-              let t0 = Telemetry.Profile.now_ns t.prof in
-              Channel.Bqueue.push dst.ic_queue (Array.copy tok) ~block ~abort;
-              let dt = Telemetry.Profile.now_ns t.prof - t0 in
-              Telemetry.Profile.add_enq dst.ic_prof ~tokens:1 dt;
-              Telemetry.Profile.add_exchange p.pt_prof dt
-            end
-            else Channel.Bqueue.push dst.ic_queue (Array.copy tok) ~block ~abort;
-            Atomic.incr t.token_transfers;
-            if t.tel_on then begin
-              Telemetry.incr dst.ic_enq;
-              Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
-            end)
-          oc.oc_dests;
-        Telemetry.incr oc.oc_fires;
-        progress := true
-      end)
-    p.pt_outs;
-  let all_inputs = Array.for_all Option.is_some heads in
-  if all_inputs && Array.for_all (fun oc -> oc.oc_fired) p.pt_outs then begin
+  if ni > 0 && k > 0 then begin
+    let n = p.pt_notif in
+    let t0 = if t.prof_on then Telemetry.Profile.now_ns t.prof else 0 in
+    Mutex.lock n.Channel.Notifier.n_mu;
     for i = 0 to ni - 1 do
-      apply_once i
+      Channel.Bqueue.drop_n_unlocked p.pt_ins.(i).ic_queue k;
+      Telemetry.add p.pt_ins.(i).ic_deq k
     done;
-    p.pt_engine.Engine.eval_comb ();
-    p.pt_engine.Engine.step_seq ();
-    if ni > 0 then begin
-      (* The batched drop is one locked section for all ni heads; its
-         cost is split evenly across the consumed channels. *)
-      let t0 = if t.prof_on then Telemetry.Profile.now_ns t.prof else 0 in
-      Mutex.lock n.Channel.Notifier.n_mu;
-      Array.iter
-        (fun ic ->
-          Channel.Bqueue.drop_unlocked ic.ic_queue;
-          Telemetry.incr ic.ic_deq)
-        p.pt_ins;
-      Channel.Notifier.bump n;
-      Mutex.unlock n.Channel.Notifier.n_mu;
-      if t.prof_on then begin
-        let dt = Telemetry.Profile.now_ns t.prof - t0 in
-        Telemetry.Profile.add_exchange p.pt_prof dt;
-        let share = dt / ni in
-        Array.iter
-          (fun ic -> Telemetry.Profile.add_deq ic.ic_prof ~tokens:1 share)
-          p.pt_ins
-      end
-    end;
-    Array.iter (fun oc -> oc.oc_fired <- false) p.pt_outs;
-    p.pt_cycle <- p.pt_cycle + 1;
-    if t.prof_on then Telemetry.Profile.add_cycles p.pt_prof 1;
-    p.pt_drive p.pt_engine p.pt_cycle;
-    progress := true
+    Channel.Notifier.bump n;
+    Mutex.unlock n.Channel.Notifier.n_mu;
+    if t.prof_on then begin
+      let dt = Telemetry.Profile.now_ns t.prof - t0 in
+      Telemetry.Profile.add_exchange p.pt_prof dt;
+      Array.iter (fun ic -> Telemetry.Profile.add_deq ic.ic_prof ~tokens:k (dt / ni)) p.pt_ins
+    end
   end;
-  !progress
+  for oi = 0 to Array.length p.pt_outs - 1 do
+    match pending.(oi) with
+    | [] -> ()
+    | rev_toks ->
+      pending.(oi) <- [];
+      let toks = List.rev rev_toks in
+      let k = List.length toks in
+      List.iter
+        (fun (dp, di) ->
+          let dst = t.frozen.(dp).pt_ins.(di) in
+          let copies = List.map Array.copy toks in
+          if t.prof_on then begin
+            (* Enqueue cost lands on the destination channel and on the
+               executing partition's exchange slice. *)
+            let t0 = Telemetry.Profile.now_ns t.prof in
+            Channel.Bqueue.push_list dst.ic_queue copies ~block ~abort;
+            let dt = Telemetry.Profile.now_ns t.prof - t0 in
+            Telemetry.Profile.add_enq dst.ic_prof ~tokens:k dt;
+            Telemetry.Profile.add_exchange p.pt_prof dt
+          end
+          else Channel.Bqueue.push_list dst.ic_queue copies ~block ~abort;
+          ignore (Atomic.fetch_and_add t.token_transfers k);
+          if t.tel_on then begin
+            Telemetry.add dst.ic_enq k;
+            Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
+          end)
+        p.pt_outs.(oi).oc_dests
+  done
 
-(** Cycle-batched sweep — the software generalization of the paper's
+(** The one firing path — the software generalization of the paper's
     fast-mode crossing amortization: fire and advance partition [p] for
-    up to [max_cycles] consecutive target cycles from ONE snapshot of
-    its input queues, deferring every cross-partition token until the
-    end so the whole batch costs one locked snapshot, one locked
-    multi-drop and one slab push per destination queue — instead of
-    that much synchronization PER CYCLE.
+    up to [max_cycles] consecutive target cycles (never past [limit])
+    from ONE snapshot of its input queues, so a batch costs one locked
+    snapshot, a locked multi-drop and one slab push per destination
+    queue instead of that much synchronization PER CYCLE.
 
     Equivalence with per-cycle exchange is by construction: the LI-BDN
     firing rules make token streams deterministic regardless of attempt
@@ -514,157 +386,109 @@ let sweep t p ~block ~abort =
 
     Internals:
     - ONE notifier lock snapshots up to [max_cycles] tokens per input
-      channel (sound: this domain is the sole consumer, so snapshot
-      heads stay the heads until we drop them).
-    - A local loop fires ready outputs and advances the fireFSM against
-      cursor positions into the snapshot; produced tokens accumulate in
-      per-output pending slabs.  Self-destined tokens are ALSO deferred
-      — the next call picks them up, matching the unbatched sweep,
-      which likewise never sees its own sweep's pushes (its head
-      snapshot predates them).
-    - Flush: first the consumed input heads are dropped under one lock
-      with a single wakeup bump (freeing space for our producers —
-      dropping BEFORE pushing is what keeps two mutually-full partitions
-      from blocking on each other's flushes), then each pending slab is
-      pushed with one {!Channel.Bqueue.push_list} per destination.
+      channel.  Sound because this partition's domain is the sole
+      consumer: snapshot heads stay the heads until we drop them, and a
+      token pushed after the snapshot bumps the notifier version, which
+      forces the scheduler to sweep again before it parks.
+    - A local loop fires ready outputs and advances the fireFSM, taking
+      one head per input from the snapshot per cycle; each head is
+      applied to the engine at most once, and produced tokens
+      accumulate in per-output pending slabs.  Self-destined tokens are deferred too:
+      the snapshot predates them, so the next call picks them up.
+    - Flush: the consumed heads are dropped under one lock with a single
+      wakeup bump (freeing space first is what keeps two mutually-full
+      partitions from blocking on each other's flushes), then each
+      pending slab is pushed with one {!Channel.Bqueue.push_list} per
+      destination.  The batch flushes just before its LAST advance — so
+      consumers overlap the most expensive step, [eval_comb]/[step_seq]
+      — and once more on return.  At [max_cycles = 1] that is the
+      per-cycle order: push, advance, drop.
 
-    Never advances past [limit] (the run target).  Returns
-    [(cycles_advanced, any_progress)]; no pending state survives the
-    call, so quiescence checks, checkpoints and introspection stay
+    Returns [(cycles_advanced, any_progress)]; no pending state survives
+    the call, so quiescence checks, checkpoints and introspection stay
     sound unchanged. *)
 let sweep_batch t p ~limit ~max_cycles ~block ~abort =
   freeze t;
   let budget = min max_cycles (limit - p.pt_cycle) in
-  if budget <= 1 then begin
-    let c0 = p.pt_cycle in
-    let progress = sweep t p ~block ~abort in
-    (p.pt_cycle - c0, progress)
-  end
-  else begin
-    let n = p.pt_notif in
-    let ni = Array.length p.pt_ins in
-    let heads =
-      if ni = 0 then [||]
-      else begin
-        Mutex.lock n.Channel.Notifier.n_mu;
-        let hs =
-          Array.map
-            (fun ic -> Channel.Bqueue.peek_upto_unlocked ic.ic_queue budget)
-            p.pt_ins
-        in
-        Mutex.unlock n.Channel.Notifier.n_mu;
-        hs
-      end
-    in
-    let pos = Array.make (max ni 1) 0 in
-    let applied = Array.make (max ni 1) (-1) in
-    let no = Array.length p.pt_outs in
-    let pending = Array.make (max no 1) [] in
-    let progress = ref false in
-    let advanced = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let step = !advanced in
-      let avail i = pos.(i) < Array.length heads.(i) in
-      let apply_once i =
-        if applied.(i) < step then begin
-          applied.(i) <- step;
-          Channel.apply_token p.pt_ins.(i).ic_spec p.pt_engine.Engine.set_input
-            heads.(i).(pos.(i))
-        end
-      in
-      Array.iteri
-        (fun oi oc ->
-          Telemetry.incr oc.oc_attempts;
-          if (not oc.oc_fired) && List.for_all avail oc.oc_deps then begin
-            List.iter apply_once oc.oc_deps;
-            oc.oc_eval ();
-            let tok = Channel.token_of_ports_batch oc.oc_spec p.pt_engine.Engine.get_ports in
-            oc.oc_fired <- true;
-            if oc.oc_dests <> [] then pending.(oi) <- tok :: pending.(oi);
-            Telemetry.incr oc.oc_fires;
-            progress := true
-          end)
-        p.pt_outs;
-      let all_inputs =
-        let rec go i = i >= ni || (avail i && go (i + 1)) in
-        go 0
-      in
-      if all_inputs && Array.for_all (fun oc -> oc.oc_fired) p.pt_outs then begin
-        for i = 0 to ni - 1 do
-          apply_once i
-        done;
-        p.pt_engine.Engine.eval_comb ();
-        p.pt_engine.Engine.step_seq ();
-        for i = 0 to ni - 1 do
-          pos.(i) <- pos.(i) + 1
-        done;
-        Array.iter (fun oc -> oc.oc_fired <- false) p.pt_outs;
-        p.pt_cycle <- p.pt_cycle + 1;
-        incr advanced;
-        progress := true;
-        p.pt_drive p.pt_engine p.pt_cycle;
-        if !advanced >= budget then continue_ := false
-      end
-      else continue_ := false
-    done;
-    if t.prof_on && !advanced > 0 then Telemetry.Profile.add_cycles p.pt_prof !advanced;
-    (* Flush, drops first: every advance consumed one head per input. *)
-    if ni > 0 && !advanced > 0 then begin
-      let t0 = if t.prof_on then Telemetry.Profile.now_ns t.prof else 0 in
+  let n = p.pt_notif in
+  let ni = Array.length p.pt_ins in
+  let heads =
+    if ni = 0 then [||]
+    else begin
       Mutex.lock n.Channel.Notifier.n_mu;
-      Array.iter
-        (fun ic ->
-          Channel.Bqueue.drop_n_unlocked ic.ic_queue !advanced;
-          Telemetry.add ic.ic_deq !advanced)
-        p.pt_ins;
-      Channel.Notifier.bump n;
+      let hs =
+        Array.map (fun ic -> Channel.Bqueue.peek_upto_unlocked ic.ic_queue budget) p.pt_ins
+      in
       Mutex.unlock n.Channel.Notifier.n_mu;
-      if t.prof_on then begin
-        let dt = Telemetry.Profile.now_ns t.prof - t0 in
-        Telemetry.Profile.add_exchange p.pt_prof dt;
-        let share = dt / ni in
-        Array.iter
-          (fun ic -> Telemetry.Profile.add_deq ic.ic_prof ~tokens:!advanced share)
-          p.pt_ins
+      hs
+    end
+  in
+  (* [heads.(i).(advanced)] is input [i]'s token for the current cycle;
+     [applied.(i)] the cycle it was last applied to the engine. *)
+  let applied = Array.make ni (-1) in
+  let pending = Array.make (Array.length p.pt_outs) [] in
+  let progress = ref false in
+  let advanced = ref 0 in
+  let dropped = ref 0 in
+  let avail i = !advanced < Array.length heads.(i) in
+  let apply_once i =
+    if applied.(i) < !advanced then begin
+      applied.(i) <- !advanced;
+      Channel.apply_token p.pt_ins.(i).ic_spec p.pt_engine.Engine.set_input
+        heads.(i).(!advanced)
+    end
+  in
+  let continue_ = ref true in
+  while !continue_ do
+    let step = !advanced in
+    for oi = 0 to Array.length p.pt_outs - 1 do
+      let oc = p.pt_outs.(oi) in
+      Telemetry.incr oc.oc_attempts;
+      if (not oc.oc_fired) && List.for_all avail oc.oc_deps then begin
+        List.iter apply_once oc.oc_deps;
+        oc.oc_eval ();
+        let tok = Channel.token_of_ports_batch oc.oc_spec p.pt_engine.Engine.get_ports in
+        oc.oc_fired <- true;
+        if oc.oc_dests <> [] then pending.(oi) <- tok :: pending.(oi);
+        Telemetry.incr oc.oc_fires;
+        progress := true
       end
-    end;
-    Array.iteri
-      (fun oi oc ->
-        match pending.(oi) with
-        | [] -> ()
-        | rev_toks ->
-          let toks = List.rev rev_toks in
-          let k = List.length toks in
-          List.iter
-            (fun (dp, di) ->
-              let dst = t.frozen.(dp).pt_ins.(di) in
-              let copies = List.map Array.copy toks in
-              if t.prof_on then begin
-                let t0 = Telemetry.Profile.now_ns t.prof in
-                Channel.Bqueue.push_list dst.ic_queue copies ~block ~abort;
-                let dt = Telemetry.Profile.now_ns t.prof - t0 in
-                Telemetry.Profile.add_enq dst.ic_prof ~tokens:k dt;
-                Telemetry.Profile.add_exchange p.pt_prof dt
-              end
-              else Channel.Bqueue.push_list dst.ic_queue copies ~block ~abort;
-              ignore (Atomic.fetch_and_add t.token_transfers k);
-              if t.tel_on then begin
-                Telemetry.add dst.ic_enq k;
-                Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
-              end)
-            oc.oc_dests)
-      p.pt_outs;
-    (!advanced, !progress)
-  end
+    done;
+    let all_inputs = ref true in
+    for i = 0 to ni - 1 do
+      if not (avail i) then all_inputs := false
+    done;
+    continue_ :=
+      step < budget && !all_inputs && Array.for_all (fun oc -> oc.oc_fired) p.pt_outs;
+    if !continue_ then begin
+      for i = 0 to ni - 1 do
+        apply_once i
+      done;
+      if step + 1 = budget then begin
+        flush t p pending ~k:step ~block ~abort;
+        dropped := step
+      end;
+      p.pt_engine.Engine.eval_comb ();
+      p.pt_engine.Engine.step_seq ();
+      Array.iter (fun oc -> oc.oc_fired <- false) p.pt_outs;
+      p.pt_cycle <- p.pt_cycle + 1;
+      incr advanced;
+      progress := true;
+      p.pt_drive p.pt_engine p.pt_cycle;
+      continue_ := !advanced < budget
+    end
+  done;
+  if t.prof_on && !advanced > 0 then Telemetry.Profile.add_cycles p.pt_prof !advanced;
+  flush t p pending ~k:(!advanced - !dropped) ~block ~abort;
+  (!advanced, !progress)
 
 (* ------------------------------------------------------------------ *)
 (* Quiescence (deadlock detection)                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Whether the firing rules permit [p] any state transition, judged
-   purely from token availability and fired flags — the same condition
-   {!try_fire}/{!try_advance} test before touching the engine.  Reads
+   purely from token availability and fired flags — the same conditions
+   {!sweep_batch} tests before touching the engine.  Reads
    are unsynchronized: only call when every domain that could mutate the
    state is parked (all-blocked in the parallel scheduler, or trivially
    in the sequential one). *)
@@ -723,10 +547,6 @@ let record_stall p =
   | Some ic ->
     Telemetry.incr ic.ic_stalled;
     Some ic.ic_spec.Channel.name
-
-let deadlock_message t =
-  "LI-BDN deadlock: network is quiescent — no output channel can fire and no \
-   partition can advance\n" ^ diagnose t
 
 (** Captures the structured snapshot, records it on the network's
     telemetry sinks (metrics registry and trace collector), and raises

@@ -4,10 +4,10 @@
     partition advances (fireFSM) when all inputs hold tokens and all
     outputs have fired.
 
-    This module is the passive topology plus the two primitive state
-    transitions the firing rules allow ({!try_fire}, {!try_advance});
-    deciding when to attempt them belongs to {!Scheduler}, which can
-    sweep partitions in one thread or run each on its own domain. *)
+    This module is the passive topology plus the one firing path,
+    {!sweep_batch}; deciding when to sweep which partition belongs to
+    {!Scheduler}, which sweeps them in one thread or runs groups of them
+    on their own domains. *)
 
 type in_chan = {
   ic_spec : Channel.spec;
@@ -104,8 +104,9 @@ val set_groups : t -> int array -> unit
     partition). *)
 val groups : t -> int array
 
-(** Applies every partition's drive hook for target cycle 0; schedulers
-    call this once at the start of each run. *)
+(** Applies every partition's drive hook for its current target cycle
+    (cycle N when a run resumes at N); schedulers call this once at the
+    start of each run. *)
 val prime : t -> unit
 
 (** Structured network-state snapshot — per partition: target cycle,
@@ -114,39 +115,19 @@ val prime : t -> unit
     derives from this. *)
 val introspect : t -> Telemetry.Snapshot.t
 
-(** Human rendering of {!introspect}, used in deadlock messages. *)
-val diagnose : t -> string
-
-(** Attempts the output-channel firing rule; returns whether it fired.
-    [block] selects backpressure behavior on full destination queues
-    ([true] in the parallel scheduler); [abort] lets a blocked push bail
-    out. *)
-val try_fire :
-  t -> partition -> out_chan -> block:bool -> abort:(unit -> bool) -> bool
-
-(** Attempts the fireFSM advance rule (consume one token per input,
-    step the engine one target cycle, reset fired flags); returns
-    whether it advanced. *)
-val try_advance : partition -> bool
-
-(** One batched attempt over everything [p] can do: a single notifier
-    lock snapshots all input heads, every locally-ready output fires
-    from the snapshot (each head applied to the engine at most once),
-    and the advance rule consumes all heads under one lock with a
-    single wakeup bump.  Equivalent to [try_fire] on every output then
-    [try_advance], with constant lock traffic per sweep.  Returns
-    whether any transition happened. *)
-val sweep : t -> partition -> block:bool -> abort:(unit -> bool) -> bool
-
-(** Cycle-batched {!sweep} — the software generalization of the paper's
+(** The one firing path — the software generalization of the paper's
     fast-mode crossing amortization: fires and advances [p] for up to
     [max_cycles] consecutive target cycles (never past [limit]) from
-    ONE locked snapshot of its input queues, deferring every produced
-    token into per-output slabs flushed at the end (consumed heads
+    ONE locked snapshot of its input queues, deferring produced tokens
+    into per-output slabs.  The slabs are flushed (consumed heads
     dropped under one lock, then one {!Channel.Bqueue.push_list} per
-    destination).  Bit-exact vs per-cycle exchange by LI-BDN
-    determinism — deferral is merely a different attempt order.  No
-    pending state survives the call.  Returns
+    destination) just before the batch's last advance and again on
+    return, so at [max_cycles = 1] a consumer already holds this
+    cycle's tokens while the engine steps.  [block] selects
+    backpressure on a full destination queue: wait (the parallel
+    scheduler) or raise {!Channel.Bqueue.Full}; [abort] lets a blocked
+    push bail out.  Bit-exact vs per-cycle exchange by LI-BDN determinism.
+    No pending state survives the call.  Returns
     [(cycles_advanced, any_progress)]. *)
 val sweep_batch :
   t ->
@@ -157,26 +138,16 @@ val sweep_batch :
   abort:(unit -> bool) ->
   int * bool
 
-(** Whether the firing rules permit [p] any transition, judged purely
-    from token availability and fired flags.  Unsynchronized reads —
-    only call when every mutating domain is parked. *)
-val can_progress : partition -> bool
-
 (** True when no partition short of [target] cycles can fire or advance:
     the Fig. 2a deadlock.  Only meaningful when all partitions are
     quiescent. *)
 val quiescent : t -> target:int -> bool
 
-(** The empty input channel currently gating [p]'s progress, if any.
-    Unsynchronized reads — telemetry attribution only. *)
-val blocking_input : partition -> in_chan option
-
-(** Attributes one stall of [p] to its blocking input (bumping its
-    [stalled] counter); returns the channel name for span labels. *)
+(** Attributes one stall of [p] to the empty input channel gating its
+    progress (bumping its [stalled] counter); returns the channel name
+    for span labels.  Unsynchronized reads — telemetry attribution
+    only. *)
 val record_stall : partition -> string option
-
-(** The message schedulers put in {!Deadlock} (includes {!diagnose}). *)
-val deadlock_message : t -> string
 
 (** Registers an observer of {!raise_deadlock}: it receives the
     structured snapshot before the {!Deadlock} exception propagates

@@ -1,30 +1,31 @@
 (* Schedulers: execution policies over a passive {!Network} topology.
 
    The LI-BDN firing rules make token streams deterministic regardless
-   of attempt order, so any policy that keeps attempting {!Network.try_fire}
-   and {!Network.try_advance} until every partition reaches the target
-   cycle computes the same register state.  Two policies are provided:
+   of attempt order, so any policy that keeps sweeping partitions
+   through {!Network.sweep_batch} — the one firing path — until every
+   partition reaches the target cycle computes the same register state.
+   Two policies are provided:
 
-   - {!Sequential}: the classic single-threaded round-robin sweep, the
-     reference implementation (and the right choice for cycle-stepping
-     drivers that interleave host work between cycles).
+   - {!Sequential}: single-threaded round-robin sweeps, the reference
+     implementation (and the right choice for cycle-stepping drivers
+     that interleave host work between cycles).
 
-   - {!Parallel}: one OCaml 5 domain per partition, mirroring the
-     paper's deployment where each FPGA simulates its partition
-     concurrently and simulation tokens are the only synchronization.
-     Tokens move through the bounded thread-safe queues of
-     {!Channel.Bqueue}; an idle partition first spins on its notifier
-     version for an adaptive budget, then parks until a token arrives.
+   - {!Parallel}: one OCaml 5 domain per placement group of partitions
+     (a singleton per partition unless {!Network.set_groups} fused
+     some), mirroring the paper's deployment where each FPGA simulates
+     its partition concurrently and simulation tokens are the only
+     synchronization.  Tokens move through the bounded thread-safe
+     queues of {!Channel.Bqueue}; an idle worker first spins on its
+     notifier version for an adaptive budget, then parks until a token
+     arrives.  Singleton and fused groups run the same worker.
 
    The parallel policy is host-adaptive: it sizes its execution to
    [Domain.recommended_domain_count].  On a host with a single hardware
    thread, domains cannot run concurrently — spawning them only adds
-   context switches and futex traffic on top of the sequential sweep —
-   so the policy multiplexes every partition cooperatively on the
-   calling domain (same firing rules, same deadlock judgment, same
-   telemetry schema).  With fewer hardware threads than partitions,
-   domains are spawned but spinning is disabled: a spinner would burn a
-   core its producer needs.
+   context switches and futex traffic on top of the sequential sweeps —
+   so an unprofiled parallel run there IS a sequential run.  With fewer
+   hardware threads than workers, domains are spawned but spinning is
+   disabled: a spinner would burn a core its producer needs.
 
    Deadlock (the Fig. 2a merged-channel scenario) is detected in both
    policies by the same authoritative quiescence check
@@ -105,9 +106,14 @@ let pack ~weights ~domains =
 (* Sequential                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Round-robin sweeps until every partition reaches [cycles].  With
+   telemetry on, each visit that finds a partition unable to progress
+   books one stall on its blocking input channel. *)
 let run_seq ?(batch_cycles = default_batch_cycles) net ~cycles =
   let parts = Network.partitions net in
-  let sweeps = Telemetry.counter (Network.telemetry net) "sched.seq.sweeps" in
+  let tel = Network.telemetry net in
+  let on = Telemetry.enabled tel in
+  let sweeps = Telemetry.counter tel "sched.seq.sweeps" in
   let behind () = Array.exists (fun p -> p.Network.pt_cycle < cycles) parts in
   while behind () do
     Telemetry.incr sweeps;
@@ -120,6 +126,7 @@ let run_seq ?(batch_cycles = default_batch_cycles) net ~cycles =
               ~block:false ~abort:never_abort
           in
           if prog then progress := true
+          else if on then ignore (Network.record_stall p)
         end)
       parts;
     if (not !progress) && behind () then begin
@@ -135,9 +142,9 @@ let run_seq ?(batch_cycles = default_batch_cycles) net ~cycles =
 (* ------------------------------------------------------------------ *)
 
 (* Global coordination for one parallel run.  [m_blocked] counts domains
-   parked on their notifier; [m_unfinished] counts partitions still
-   short of the target.  Lock order: a partition's notifier mutex may be
-   taken before [m_mu], never the other way around. *)
+   parked on their notifier; [m_unfinished] counts workers still short
+   of the target.  Lock order: a notifier mutex may be taken before
+   [m_mu], never the other way around. *)
 type monitor = {
   m_mu : Mutex.t;
   mutable m_blocked : int;
@@ -155,12 +162,11 @@ let declare_dead mon =
   mon.m_dead <- true;
   Atomic.set mon.m_abort true
 
-(* Parks a domain on [notif] (its partition's notifier — or the shared
-   group notifier under fused placement) until the input state changes
-   (version guard against missed wakeups).  The last unfinished domain
-   to park runs the quiescence check: with every other mutator
-   registered as parked (registration orders their writes before our
-   read via [m_mu]), the unsynchronized reads inside
+(* Parks a domain on [notif] (its group's shared notifier) until the
+   input state changes (version guard against missed wakeups).  The
+   last unfinished domain to park runs the quiescence check: with every
+   other mutator registered as parked (registration orders their writes
+   before our read via [m_mu]), the unsynchronized reads inside
    {!Network.quiescent} are sound. *)
 let par_block net mon ~notif ~cycles ~seen =
   let n = notif in
@@ -214,21 +220,20 @@ let par_fail net mon e =
   Mutex.unlock mon.m_mu;
   wake_all net
 
-(* Per-domain telemetry for one parallel worker.  Spans are recorded
-   only at block/unblock boundaries ("run" from segment start to park,
+(* Per-partition telemetry handles of a parallel worker.  Spans are
+   recorded only at park boundaries ("run" from segment start to park,
    "stall" across each park, tagged with the blocking input channel), so
    event counts are bounded by the number of stalls, not cycles.  Each
-   worker appends to its own per-partition track — registration is the
-   only synchronized step; appends happen from the owning domain with no
-   cross-domain coordination, and export only runs after the domains are
-   joined. *)
+   partition appends to its own track — registration is the only
+   synchronized step; appends happen from the owning domain, and export
+   only runs after the domains are joined. *)
 type par_tel = {
-  w_on : bool;  (** any timing instrumentation active *)
   w_clock : unit -> float;  (** µs on the trace collector's timeline *)
   w_track : Telemetry.Chrome_trace.track option;
   w_run_ns : Telemetry.counter;
   w_idle_ns : Telemetry.counter;
-  w_barrier_ns : Telemetry.counter;
+  w_spins : Telemetry.counter;
+  w_parks : Telemetry.counter;
 }
 
 let par_tel net p =
@@ -251,12 +256,12 @@ let par_tel net p =
         else fun () -> 0. )
   in
   {
-    w_on = Telemetry.enabled tel;
     w_clock;
     w_track;
     w_run_ns = Telemetry.counter tel (metric "run_ns");
     w_idle_ns = Telemetry.counter tel (metric "idle_ns");
-    w_barrier_ns = Telemetry.counter tel (metric "barrier_ns");
+    w_spins = Telemetry.counter tel (metric "spins");
+    w_parks = Telemetry.counter tel (metric "parks");
   }
 
 let ns_of_us us = int_of_float (us *. 1000.)
@@ -280,24 +285,22 @@ let spin_max = 32768
 let spin_initial = 1024
 
 (* Hardware parallelism actually available, read once.  Sizes the
-   parallel policy: cooperative fallback at 1, spin-then-park only when
-   every partition domain can hold a core. *)
-let host_domains = lazy (Domain.recommended_domain_count ())
+   parallel policy: sequential at 1, spin-then-park only when every
+   worker domain can hold a core. *)
+let host_domains_auto = lazy (Domain.recommended_domain_count ())
 
 (* Test/bench override of the host-domain count (0 = auto).  Lets the
    real-domain path and its stall accounting be exercised — and its
    overhead measured against a like-for-like baseline — on hosts where
-   [Domain.recommended_domain_count] would force the cooperative
-   fallback. *)
+   [Domain.recommended_domain_count] would make the parallel policy
+   sequential. *)
 let host_override = Atomic.make 0
 
 let set_host_domains n = Atomic.set host_override (max 0 n)
 
-let host_domains_now () =
+let host_domains () =
   let o = Atomic.get host_override in
-  if o > 0 then o else Lazy.force host_domains
-
-let effective_host_domains = host_domains_now
+  if o > 0 then o else Lazy.force host_domains_auto
 
 (* Polls for a version change (or abort) for at most [budget] relax
    hints; true if one arrived. *)
@@ -312,18 +315,6 @@ let spin_for notif ~seen ~abort ~budget =
   in
   go 0
 
-(* Spin-policy knobs for one run: [sp_initial]/[sp_max] bound the
-   adaptive budget; [sp_enabled] gates spinning entirely (the
-   [--spin-budget 0] escape hatch, and the oversubscription guard). *)
-type spin_cfg = { sp_enabled : bool; sp_initial : int; sp_max : int }
-
-let spin_cfg ~spin ~spin_budget =
-  match spin_budget with
-  | Some 0 -> { sp_enabled = false; sp_initial = spin_min; sp_max = spin_min }
-  | Some s when s > 0 ->
-    { sp_enabled = spin; sp_initial = s; sp_max = max s spin_min }
-  | _ -> { sp_enabled = spin; sp_initial = spin_initial; sp_max = spin_max }
-
 (* Per-partition adaptive batch depth: starts at 1 and doubles while
    batches run their full budget (tokens are plentiful — no channel
    starved mid-batch), halves when a visit advanced nothing (the
@@ -335,311 +326,141 @@ let adapt_batch k ~cap ~advanced =
     else if advanced = 0 then k := max 1 (!k / 2)
   end
 
-let par_worker net mon p ~cycles ~started ~finished ~slot ~spin ~batch_cycles
-    ~spin_budget =
+(* The one parallel worker: a domain running a placement GROUP of
+   partitions [ps] (a singleton under spread placement and under a live
+   profile).  It sweeps the members round-robin and idles on their
+   shared notifier only when a whole round made no progress.  The
+   domain's timeline — run/stall spans and ns counters, spins and parks,
+   and under a profile the run/spin/park phases — is charged to every
+   member, so a singleton's phases sum to its domain's wall time. *)
+let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~batch_cycles =
   let abort () = Atomic.get mon.m_abort in
-  let w = par_tel net p in
-  let tel = Network.telemetry net in
-  let metric kind = Printf.sprintf "sched.par.%s.%s" p.Network.pt_name kind in
-  let spins = Telemetry.counter tel (metric "spins") in
-  let parks = Telemetry.counter tel (metric "parks") in
+  let on = Telemetry.enabled (Network.telemetry net) in
   let prof = Network.profile net in
-  let pr = p.Network.pt_prof in
-  let pon = Telemetry.Profile.part_enabled pr in
-  let notif = p.Network.pt_notif in
-  let cfg = spin_cfg ~spin ~spin_budget in
-  let spin = cfg.sp_enabled in
-  let spin_budget = ref cfg.sp_initial in
-  let batch = ref 1 in
-  let sweep_p () =
-    let advanced, prog =
-      Network.sweep_batch net p ~limit:cycles ~max_cycles:!batch ~block:true
-        ~abort
-    in
-    adapt_batch batch ~cap:batch_cycles ~advanced;
-    prog
+  let pon = Network.profile_enabled net in
+  let ws = Array.map (par_tel net) ps in
+  let clock = ws.(0).w_clock in
+  let notif = ps.(0).Network.pt_notif in
+  let budget = ref spin_initial in
+  let batch = Array.map (fun _ -> ref 1) ps in
+  let blocked = Array.make (Array.length ps) None in
+  let unfinished () = Array.exists (fun p -> p.Network.pt_cycle < cycles) ps in
+  let round () =
+    let progress = ref false in
+    Array.iteri
+      (fun i p ->
+        if p.Network.pt_cycle < cycles then begin
+          let advanced, prog =
+            Network.sweep_batch net p ~limit:cycles ~max_cycles:!(batch.(i))
+              ~block:true ~abort
+          in
+          adapt_batch batch.(i) ~cap:batch_cycles ~advanced;
+          if prog then progress := true
+        end)
+      ps;
+    !progress
   in
-  let seg_start = ref (w.w_clock ()) in
-  if w.w_on || pon then started.(slot) <- !seg_start;
+  let phase add dt = Array.iter (fun p -> add p.Network.pt_prof dt) ps in
+  let seg_start = ref (clock ()) in
+  if on || pon then started.(slot) <- !seg_start;
   (* Closes the current "run" segment at [now] and charges it. *)
   let end_run now =
-    Telemetry.add w.w_run_ns (ns_of_us (now -. !seg_start));
-    par_span w ~name:"run" ~args:[] ~ts:!seg_start ~dur:(now -. !seg_start)
+    let dur = now -. !seg_start in
+    Array.iter
+      (fun w ->
+        Telemetry.add w.w_run_ns (ns_of_us dur);
+        par_span w ~name:"run" ~args:[] ~ts:!seg_start ~dur)
+      ws
   in
-  let park ~seen ~blocked_on =
-    if not w.w_on then par_block net mon ~notif ~cycles ~seen
+  let park ~seen =
+    if not on then par_block net mon ~notif ~cycles ~seen
     else begin
-      let t_park = w.w_clock () in
+      let t_park = clock () in
       end_run t_park;
       par_block net mon ~notif ~cycles ~seen;
-      let t_wake = w.w_clock () in
-      Telemetry.add w.w_idle_ns (ns_of_us (t_wake -. t_park));
-      let args =
-        match blocked_on with
-        | None -> []
-        | Some chan -> [ ("blocked_on", Telemetry.Json.String chan) ]
-      in
-      par_span w ~name:"stall" ~args ~ts:t_park ~dur:(t_wake -. t_park);
+      let t_wake = clock () in
+      let dur = t_wake -. t_park in
+      Array.iteri
+        (fun i w ->
+          Telemetry.add w.w_idle_ns (ns_of_us dur);
+          let args =
+            match blocked.(i) with
+            | None -> []
+            | Some chan -> [ ("blocked_on", Telemetry.Json.String chan) ]
+          in
+          par_span w ~name:"stall" ~args ~ts:t_park ~dur)
+        ws;
       seg_start := t_wake
     end
   in
-  (* One idle episode after a failed sweep: the stall is attributed to
-     the blocking channel up front (spin or park alike — the spin fast
-     path used to skip attribution entirely), then the worker spins on
-     the notifier version and finally parks. *)
-  let idle ~seen =
-    let blocked_on = if w.w_on then Network.record_stall p else None in
-    if spin && spin_for notif ~seen ~abort ~budget:!spin_budget then begin
-      Telemetry.incr spins;
-      spin_budget := min cfg.sp_max (2 * !spin_budget)
+  (* One idle episode after a round without progress ([t0] is the
+     round's profile start, so a failed round counts as spin): each
+     unfinished member's stall is attributed to its blocking channel up
+     front, then the worker spins on the notifier version and finally
+     parks. *)
+  let idle ~seen ~t0 =
+    let stalled i = ps.(i).Network.pt_cycle < cycles in
+    if on then
+      Array.iteri (fun i p -> if stalled i then blocked.(i) <- Network.record_stall p) ps;
+    let charge counter =
+      Array.iteri (fun i w -> if stalled i then Telemetry.incr (counter w)) ws
+    in
+    if spin && spin_for notif ~seen ~abort ~budget:!budget then begin
+      if pon then phase Telemetry.Profile.add_spin (Telemetry.Profile.now_ns prof - t0);
+      charge (fun w -> w.w_spins);
+      budget := min spin_max (2 * !budget)
     end
     else begin
-      Telemetry.incr parks;
-      spin_budget := max spin_min (!spin_budget / 2);
-      park ~seen ~blocked_on
+      let tp = if pon then Telemetry.Profile.now_ns prof else 0 in
+      if pon then phase Telemetry.Profile.add_spin (tp - t0);
+      charge (fun w -> w.w_parks);
+      budget := max spin_min (!budget / 2);
+      park ~seen;
+      if pon then phase Telemetry.Profile.add_park (Telemetry.Profile.now_ns prof - tp)
     end
   in
   (try
-     if pon then
-       (* Profiled loop: every iteration is classified — a productive
-          sweep is "run" (token exchange carved out by the network), a
-          failed sweep plus its busy-wait is "spin", and the off-CPU
-          wait inside [par_block] is "park" — so the per-partition
-          components sum to this domain's wall time. *)
-       while p.Network.pt_cycle < cycles && not (abort ()) do
-         let seen = Channel.Notifier.version notif in
-         let t0 = Telemetry.Profile.now_ns prof in
-         if sweep_p () then
-           Telemetry.Profile.add_run pr (Telemetry.Profile.now_ns prof - t0)
-         else begin
-           let blocked_on = if w.w_on then Network.record_stall p else None in
-           if spin && spin_for notif ~seen ~abort ~budget:!spin_budget then begin
-             Telemetry.Profile.add_spin pr (Telemetry.Profile.now_ns prof - t0);
-             Telemetry.incr spins;
-             spin_budget := min cfg.sp_max (2 * !spin_budget)
-           end
-           else begin
-             let tp = Telemetry.Profile.now_ns prof in
-             Telemetry.Profile.add_spin pr (tp - t0);
-             Telemetry.incr parks;
-             spin_budget := max spin_min (!spin_budget / 2);
-             park ~seen ~blocked_on;
-             Telemetry.Profile.add_park pr (Telemetry.Profile.now_ns prof - tp)
-           end
-         end
-       done
-     else
-       while p.Network.pt_cycle < cycles && not (abort ()) do
-         let seen = Channel.Notifier.version notif in
-         if not (sweep_p ()) then idle ~seen
-       done
+     while unfinished () && not (abort ()) do
+       let seen = Channel.Notifier.version notif in
+       let t0 = if pon then Telemetry.Profile.now_ns prof else 0 in
+       if round () then begin
+         if pon then phase Telemetry.Profile.add_run (Telemetry.Profile.now_ns prof - t0)
+       end
+       else idle ~seen ~t0
+     done
    with e -> par_fail net mon e);
-  if w.w_on || pon then begin
-    let t_done = w.w_clock () in
-    if w.w_on then end_run t_done;
+  if on || pon then begin
+    let t_done = clock () in
+    if on then end_run t_done;
     finished.(slot) <- t_done
   end;
   par_exit net mon ~cycles
 
-(* One domain multiplexing a fused GROUP of partitions (load-balanced
-   placement): round-robin over the members, idling on their SHARED
-   notifier only when no member could progress in a full round.
-   Telemetry is coarser than the one-domain-per-partition path —
-   spins/parks are charged to every member that failed to progress in
-   the idle round, and no per-partition Chrome spans are recorded (use
-   spread placement for those).  Profiled runs never take this path:
-   the profiler's phase accounting wants one domain per partition. *)
-let par_worker_group net mon ps ~cycles ~started ~finished ~slot ~spin
-    ~batch_cycles ~spin_budget =
-  let abort () = Atomic.get mon.m_abort in
-  let tel = Network.telemetry net in
-  let on = Telemetry.enabled tel in
-  let metric p kind = Printf.sprintf "sched.par.%s.%s" p.Network.pt_name kind in
-  let spins = Array.map (fun p -> Telemetry.counter tel (metric p "spins")) ps in
-  let parks = Array.map (fun p -> Telemetry.counter tel (metric p "parks")) ps in
-  let notif = ps.(0).Network.pt_notif in
-  let cfg = spin_cfg ~spin ~spin_budget in
-  let spin = cfg.sp_enabled in
-  let spin_budget = ref cfg.sp_initial in
-  let batch = Array.map (fun _ -> ref 1) ps in
-  let stalled = Array.make (Array.length ps) false in
-  let unfinished () = Array.exists (fun p -> p.Network.pt_cycle < cycles) ps in
-  if on then started.(slot) <- Telemetry.now_us tel;
-  (try
-     while unfinished () && not (abort ()) do
-       let seen = Channel.Notifier.version notif in
-       let progress = ref false in
-       Array.iteri
-         (fun i p ->
-           if p.Network.pt_cycle < cycles then begin
-             let advanced, prog =
-               Network.sweep_batch net p ~limit:cycles ~max_cycles:!(batch.(i))
-                 ~block:true ~abort
-             in
-             adapt_batch batch.(i) ~cap:batch_cycles ~advanced;
-             if prog then progress := true;
-             stalled.(i) <- not prog
-           end
-           else stalled.(i) <- false)
-         ps;
-       if (not !progress) && unfinished () && not (abort ()) then begin
-         let charge cs =
-           if on then
-             Array.iteri
-               (fun i p ->
-                 if stalled.(i) && p.Network.pt_cycle < cycles then begin
-                   ignore (Network.record_stall p);
-                   Telemetry.incr cs.(i)
-                 end)
-               ps
-         in
-         if spin && spin_for notif ~seen ~abort ~budget:!spin_budget then begin
-           charge spins;
-           spin_budget := min cfg.sp_max (2 * !spin_budget)
-         end
-         else begin
-           charge parks;
-           spin_budget := max spin_min (!spin_budget / 2);
-           par_block net mon ~notif ~cycles ~seen
-         end
-       end
-     done
-   with e -> par_fail net mon e);
-  if on then finished.(slot) <- Telemetry.now_us tel;
-  par_exit net mon ~cycles
-
-(* Cooperative fallback for hosts without real parallelism.  With one
-   hardware thread, one-domain-per-partition only layers context
-   switches, futex round trips and cache churn on top of the sequential
-   sweep (measured 2-5x slower); the parallel policy therefore
-   multiplexes every partition on the calling domain, exactly like
-   {!run_seq} — same firing rules, same no-progress => quiescent =>
-   deadlock judgment — while still registering the per-partition
-   [sched.par.*] counters so telemetry consumers see a stable schema.
-   Parks stay zero — an off-CPU idle policy never arises — but each
-   visit that finds a partition unable to progress counts as one spin:
-   the cooperative analogue of a failed poll (they used to stay zero
-   too, which is what left the bench stall breakdown all-zero whenever
-   this fallback was active). *)
-let run_par_cooperative ?(batch_cycles = default_batch_cycles) net ~cycles =
-  let parts = Network.partitions net in
-  let batch = Array.map (fun _ -> ref 1) parts in
-  let tel = Network.telemetry net in
-  let on = Telemetry.enabled tel in
-  let spins =
-    Array.map
-      (fun p ->
-        Telemetry.counter tel
-          (Printf.sprintf "sched.par.%s.spins" p.Network.pt_name))
-      parts
-  in
-  let ws =
-    Array.map
-      (fun p ->
-        let metric kind =
-          Printf.sprintf "sched.par.%s.%s" p.Network.pt_name kind
-        in
-        ignore (Telemetry.counter tel (metric "parks"));
-        par_tel net p)
-      parts
-  in
-  (* Per-partition run/stall segments, mirroring the per-domain spans of
-     {!par_worker}: a partition is "running" between visits that make
-     progress and "stalled" across consecutive visits that make none.
-     Segments include time spent sweeping the other partitions — on one
-     hardware thread wall time is shared, so per-partition attribution
-     is inherently approximate. *)
-  let seg_start = Array.map (fun w -> w.w_clock ()) ws in
-  let stalled = Array.make (Array.length parts) false in
-  let blocked = Array.make (Array.length parts) None in
-  let close i ~now =
-    let w = ws.(i) in
-    let dur = now -. seg_start.(i) in
-    if stalled.(i) then begin
-      Telemetry.add w.w_idle_ns (ns_of_us dur);
-      let args =
-        match blocked.(i) with
-        | None -> []
-        | Some chan -> [ ("blocked_on", Telemetry.Json.String chan) ]
-      in
-      par_span w ~name:"stall" ~args ~ts:seg_start.(i) ~dur
-    end
-    else begin
-      Telemetry.add w.w_run_ns (ns_of_us dur);
-      par_span w ~name:"run" ~args:[] ~ts:seg_start.(i) ~dur
-    end;
-    seg_start.(i) <- now
-  in
-  let visit i p =
-    let advanced, progressed =
-      Network.sweep_batch net p ~limit:cycles ~max_cycles:!(batch.(i))
-        ~block:false ~abort:never_abort
-    in
-    adapt_batch batch.(i) ~cap:batch_cycles ~advanced;
-    if on && not progressed then Telemetry.incr spins.(i);
-    if on && progressed = stalled.(i) then begin
-      (* Segment boundary: the partition switched between running and
-         being unable to progress. *)
-      close i ~now:(ws.(i).w_clock ());
-      if not progressed then blocked.(i) <- Network.record_stall p;
-      stalled.(i) <- not progressed
-    end;
-    progressed
-  in
-  let behind () = Array.exists (fun p -> p.Network.pt_cycle < cycles) parts in
-  while behind () do
-    let progress = ref false in
-    Array.iteri
-      (fun i p ->
-        if p.Network.pt_cycle < cycles then
-          if visit i p then progress := true)
-      parts;
-    if (not !progress) && behind () then begin
-      assert (Network.quiescent net ~target:cycles);
-      Network.raise_deadlock net
-    end
-  done;
-  if on then Array.iteri (fun i w -> close i ~now:(w.w_clock ())) ws
-
-(* Runs every unfinished partition to [cycles] on its own domain — or
-   one domain per placement GROUP when {!Network.set_groups} fused
-   partitions together, or cooperatively on the calling domain when the
-   host cannot actually run domains concurrently. *)
-let run_par ?(batch_cycles = default_batch_cycles) ?spin_budget net ~cycles =
-  (* A live profile forces the real-domain path: the cooperative
-     multiplexer shares one thread's wall clock between partitions, so
-     its per-partition timing is structurally unable to show where the
-     parallel policy's time would go — which is the question a profiled
-     run asks. *)
+(* Runs every unfinished partition to [cycles], one domain per placement
+   group — or sequentially when the host cannot run domains
+   concurrently. *)
+let run_par ?(batch_cycles = default_batch_cycles) net ~cycles =
+  (* A live profile forces the real-domain path: its per-partition
+     phases are the question a profiled run asks. *)
   let profiled = Network.profile_enabled net in
-  if host_domains_now () <= 1 && not profiled then
-    run_par_cooperative net ~cycles ~batch_cycles
+  if host_domains () <= 1 && not profiled then run_seq net ~cycles ~batch_cycles
   else
   let parts = Network.partitions net in
-  let unfinished =
-    Array.to_list parts |> List.filter (fun p -> p.Network.pt_cycle < cycles)
-  in
-  (* One worker per placement group (identity — one per partition — when
-     no placement was applied, and always under a live profile: the
+  (* Unfinished partitions bucketed by placement slot: singletons when
+     no placement was applied, and always under a live profile (the
      profiler's per-partition phase accounting assumes a dedicated
      domain). *)
   let assign = Network.groups net in
-  let groups =
-    if profiled || Array.length assign = 0 then
-      List.map (fun p -> [| p |]) unfinished
-    else begin
-      let slots = 1 + Array.fold_left max 0 assign in
-      let buckets = Array.make slots [] in
-      List.iter
-        (fun p ->
-          let g = assign.(p.Network.pt_index) in
-          buckets.(g) <- p :: buckets.(g))
-        unfinished;
-      Array.to_list buckets
-      |> List.filter_map (function
-           | [] -> None
-           | ps -> Some (Array.of_list (List.rev ps)))
+  let buckets = Array.make (Array.length parts) [] in
+  for i = Array.length parts - 1 downto 0 do
+    if parts.(i).Network.pt_cycle < cycles then begin
+      let g = if profiled || Array.length assign = 0 then i else assign.(i) in
+      buckets.(g) <- parts.(i) :: buckets.(g)
     end
+  done;
+  let groups =
+    Array.to_list buckets
+    |> List.filter_map (function [] -> None | ps -> Some (Array.of_list ps))
   in
   match groups with
   | [] -> ()
@@ -664,17 +485,12 @@ let run_par ?(batch_cycles = default_batch_cycles) ?spin_budget net ~cycles =
        re-enables spinning on small hosts.  Profiled runs keep it on so
        the spin phase is observable (the bounded budget keeps the
        distortion small). *)
-    let spin = profiled || host_domains_now () >= nw in
+    let spin = profiled || host_domains () >= nw in
     let domains =
       List.mapi
         (fun slot ps ->
           Domain.spawn (fun () ->
-              if Array.length ps = 1 then
-                par_worker net mon ps.(0) ~cycles ~started ~finished ~slot ~spin
-                  ~batch_cycles ~spin_budget
-              else
-                par_worker_group net mon ps ~cycles ~started ~finished ~slot
-                  ~spin ~batch_cycles ~spin_budget))
+              par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~batch_cycles))
         groups
     in
     List.iter Domain.join domains;
@@ -720,67 +536,36 @@ let run_par ?(batch_cycles = default_batch_cycles) ?spin_budget net ~cycles =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let advance scheduler ~batch_cycles net ~cycles =
+  match scheduler with
+  | Sequential -> run_seq net ~cycles ~batch_cycles
+  | Parallel -> run_par net ~cycles ~batch_cycles
+
 (** Runs every partition up to [cycles] target cycles under the chosen
     scheduler.  [batch_cycles] caps cycle-batched token exchange (1 =
     per-cycle, the default; the parallel policy adapts the actual batch
-    depth per partition within the cap); [spin_budget] tunes the
-    spin-then-park idle policy (0 disables spinning).  Raises
-    {!Network.Deadlock} with a channel-state report if no forward
-    progress is possible (Fig. 2a). *)
-let run ?(scheduler = default) ?(batch_cycles = default_batch_cycles)
-    ?spin_budget net ~cycles =
+    depth per partition within the cap).  Raises {!Network.Deadlock}
+    with a channel-state report if no forward progress is possible
+    (Fig. 2a). *)
+let run ?(scheduler = default) ?(batch_cycles = default_batch_cycles) net ~cycles =
   Network.prime net;
-  match scheduler with
-  | Sequential -> run_seq net ~cycles ~batch_cycles
-  | Parallel -> run_par net ~cycles ~batch_cycles ?spin_budget
+  advance scheduler ~batch_cycles net ~cycles
 
 (** Runs until [pred] holds or all partitions reach [max_cycles];
-    returns the reached cycle of partition 0.  The sequential scheduler
-    checks [pred] after every whole-network sweep (partitions may sit at
-    different cycles when it fires); the parallel scheduler checks at
-    whole-cycle barriers, where every partition holds the same cycle —
-    [pred] must not race with partition domains, so it only runs while
-    they are joined. *)
-let run_until ?(scheduler = default) ?(batch_cycles = default_batch_cycles)
-    ?spin_budget net ~max_cycles pred =
+    returns the reached cycle of partition 0.  Both schedulers check
+    [pred] at whole-cycle barriers — each step runs the network to one
+    cycle past its slowest partition — so [pred] sees every partition
+    at the same cycle and never races with partition domains. *)
+let run_until ?(scheduler = default) ?(batch_cycles = default_batch_cycles) net
+    ~max_cycles pred =
   Network.prime net;
-  match scheduler with
-  | Sequential ->
-    let parts = Network.partitions net in
-    let stop = ref false in
-    let deadline_reached () =
-      Array.for_all (fun p -> p.Network.pt_cycle >= max_cycles) parts
-    in
-    while (not !stop) && not (deadline_reached ()) do
-      let progress = ref false in
-      Array.iter
-        (fun p ->
-          if p.Network.pt_cycle < max_cycles then begin
-            let _, prog =
-              Network.sweep_batch net p ~limit:max_cycles
-                ~max_cycles:batch_cycles ~block:false ~abort:never_abort
-            in
-            if prog then progress := true
-          end)
-        parts;
-      if pred net then stop := true
-      else if not !progress then begin
-        assert (Network.quiescent net ~target:max_cycles);
-        Network.raise_deadlock net
-      end
-    done;
-    parts.(0).Network.pt_cycle
-  | Parallel ->
-    let parts = Network.partitions net in
-    let min_cycle () =
-      Array.fold_left (fun acc p -> min acc p.Network.pt_cycle) max_int parts
-    in
-    let rec go () =
-      let c = min_cycle () in
-      if c >= max_cycles then parts.(0).Network.pt_cycle
-      else begin
-        run_par net ~cycles:(min max_cycles (c + 1)) ~batch_cycles ?spin_budget;
-        if pred net then parts.(0).Network.pt_cycle else go ()
-      end
-    in
-    go ()
+  let parts = Network.partitions net in
+  let rec go () =
+    let c = Array.fold_left (fun acc p -> min acc p.Network.pt_cycle) max_int parts in
+    if c >= max_cycles then parts.(0).Network.pt_cycle
+    else begin
+      advance scheduler ~batch_cycles net ~cycles:(min max_cycles (c + 1));
+      if pred net then parts.(0).Network.pt_cycle else go ()
+    end
+  in
+  go ()

@@ -4,12 +4,17 @@
     of attempt order, so both schedulers compute cycle-identical
     register state:
 
-    - {!Sequential} — single-threaded round-robin sweep (the reference
+    - {!Sequential} — single-threaded round-robin sweeps (the reference
       implementation; best for cycle-stepping drivers).
-    - {!Parallel} — one OCaml 5 domain per partition, tokens through
-      bounded thread-safe queues as the only synchronization (the
-      software mirror of one-FPGA-per-partition; best for long
-      free-running simulations of multi-partition designs).
+    - {!Parallel} — one OCaml 5 domain per placement group (one per
+      partition by default), tokens through bounded thread-safe queues
+      as the only synchronization (the software mirror of
+      one-FPGA-per-partition; best for long free-running simulations of
+      multi-partition designs).  On a host with one hardware thread an
+      unprofiled parallel run is a sequential run.
+
+    Both sweep partitions through the one firing path,
+    {!Network.sweep_batch}.
 
     Deadlock (Fig. 2a) is detected in both by the same authoritative
     quiescence check ({!Network.quiescent}). *)
@@ -42,28 +47,21 @@ val default_batch_cycles : int
     starting at 1, doubling while batches run their full budget,
     halving when a visit starves — so a cap that is too large for the
     topology's slack costs nothing.  Bit-exact vs [batch_cycles = 1] by
-    LI-BDN determinism.
-
-    [spin_budget] tunes the spin-then-park idle policy: the initial
-    (and maximum) busy-poll budget before a worker parks; [0] disables
-    spinning entirely. *)
+    LI-BDN determinism. *)
 val run :
   ?scheduler:t ->
   ?batch_cycles:int ->
-  ?spin_budget:int ->
   Network.t ->
   cycles:int ->
   unit
 
 (** Runs until [pred] holds or all partitions reach [max_cycles];
-    returns partition 0's cycle.  Sequential checks [pred] after each
-    sweep (note a [batch_cycles] cap > 1 coarsens that sampling to the
-    batch boundary); Parallel checks at whole-cycle barriers (all
-    partition domains joined, so [pred] never races with them). *)
+    returns partition 0's cycle.  Both schedulers check [pred] at
+    whole-cycle barriers: every partition holds the same cycle and no
+    partition domain is running. *)
 val run_until :
   ?scheduler:t ->
   ?batch_cycles:int ->
-  ?spin_budget:int ->
   Network.t ->
   max_cycles:int ->
   (Network.t -> bool) ->
@@ -73,13 +71,13 @@ val run_until :
     ([Domain.recommended_domain_count] by default; [0] restores it).
     Lets benches and tests exercise the real-domain path — and measure
     the profiler against a like-for-like baseline — on hosts whose
-    hardware thread count would force the cooperative fallback. *)
+    hardware thread count would make the parallel policy sequential. *)
 val set_host_domains : int -> unit
 
 (** The host-domain count the parallel policy currently sizes itself to
     (the override if set, else [Domain.recommended_domain_count]).
     Placement passes use this as the default bin count. *)
-val effective_host_domains : unit -> int
+val host_domains : unit -> int
 
 (** Longest-processing-time greedy bin packing: assigns one weight per
     partition to at most [domains] bins (heaviest first into the

@@ -64,7 +64,7 @@ let groups ?profile ?domains ~policy (plan : Fireripper.Plan.t) =
     let d =
       match domains with
       | Some d when d > 0 -> d
-      | _ -> Libdn.Scheduler.effective_host_domains ()
+      | _ -> Libdn.Scheduler.host_domains ()
     in
     if d >= n || n = 0 then None
     else Some (Libdn.Scheduler.pack ~weights:(weights ?profile plan) ~domains:d)

@@ -25,7 +25,7 @@ val weights : ?profile:Telemetry.Profile.t -> Fireripper.Plan.t -> int array
 (** The assignment for [plan] under [policy]: [None] = one domain per
     partition; [Some groups] fuses partitions sharing a slot onto one
     domain (feed it to [Network.set_groups]).  [domains] defaults to
-    {!Libdn.Scheduler.effective_host_domains}; [Auto] collapses to
+    {!Libdn.Scheduler.host_domains}; [Auto] collapses to
     spread when domains >= partitions. *)
 val groups :
   ?profile:Telemetry.Profile.t ->

@@ -294,6 +294,65 @@ let prop_random_batch_depth =
           reference = batched)
         [ Libdn.Scheduler.Sequential; Libdn.Scheduler.Parallel ])
 
+(* ------------------------------------------------------------------ *)
+(* Flush order at K = 1                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* At [max_cycles = 1] a sweep must push its tokens BEFORE it steps the
+   engine, so a consumer on another domain already holds cycle N's token
+   while the producer evaluates cycle N: deferring the push until after
+   the advance would serialize the two partitions.  The producer's drive
+   hook runs after the advance, so it checks that the consumer's queue
+   already holds every token produced so far. *)
+let test_k1_pushes_before_advance () =
+  let chan name ports = { Libdn.Channel.name; ports } in
+  let counter =
+    let b = Builder.create "counter" in
+    let x = Builder.reg b ~init:0 "x" 8 in
+    Builder.reg_next b "x" Dsl.(x +: lit ~width:8 1);
+    Builder.output b "d" 8;
+    Builder.connect b "d" x;
+    Builder.finish b
+  in
+  let sink =
+    let b = Builder.create "sink" in
+    let a = Builder.input b "a" 8 in
+    let r = Builder.reg b "r" 8 in
+    Builder.reg_next b "r" a;
+    Builder.output b "q" 8;
+    Builder.connect b "q" r;
+    Builder.finish b
+  in
+  let net = Libdn.Network.create () in
+  let add flat ~ins ~outs =
+    Goldengate.Fame1.add_to_network net ~name:flat.Ast.name
+      (Goldengate.Fame1.wrap ~flat ~ins ~outs ())
+  in
+  let prod = add counter ~ins:[] ~outs:[ chan "out" [ ("d", 8) ] ] in
+  let cons = add sink ~ins:[ chan "in" [ ("a", 8) ] ] ~outs:[] in
+  Libdn.Network.connect net ~src:(prod, "out") ~dst:(cons, "in");
+  let q = (Libdn.Network.partition net cons).Libdn.Network.pt_ins.(0).Libdn.Network.ic_queue in
+  let queued = ref [] in
+  Libdn.Network.set_drive net prod (fun _ cycle ->
+      queued := (cycle, List.map (fun tok -> tok.(0)) (BQ.to_list q)) :: !queued);
+  let p = Libdn.Network.partition net prod in
+  let cycles = 6 in
+  for _ = 1 to cycles do
+    let advanced, _ =
+      Libdn.Network.sweep_batch net p ~limit:cycles ~max_cycles:1 ~block:false
+        ~abort:no_abort
+    in
+    check_int "one cycle per K=1 sweep" 1 advanced
+  done;
+  List.iter
+    (fun (cycle, toks) ->
+      check_ints
+        (Printf.sprintf "consumer holds tokens 0..%d when cycle %d is driven" (cycle - 1)
+           cycle)
+        (List.init cycle Fun.id) toks)
+    (List.rev !queued);
+  check_int "drive hook ran once per cycle" cycles (List.length !queued)
+
 let suite =
   [
     ( "batch",
@@ -319,6 +378,8 @@ let suite =
           test_batched_matches_monolithic;
         Alcotest.test_case "fused placement + batching matches sequential"
           `Quick test_placement_bit_exact;
+        Alcotest.test_case "K=1 sweep pushes before it advances" `Quick
+          test_k1_pushes_before_advance;
         QCheck_alcotest.to_alcotest prop_random_batch_depth;
       ] );
   ]

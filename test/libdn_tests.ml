@@ -162,7 +162,8 @@ let test_fast_mode_latency_semantics () =
 
 let test_external_drive () =
   (* A single closed partition whose external input is driven by the
-     per-cycle hook. *)
+     per-cycle hook.  However the 5 cycles are split into runs, each run
+     must resume driving the cycle it starts at (not cycle 0 again). *)
   let b = Builder.create "extsum" in
   let x = Builder.input b "x" 8 in
   let acc = Builder.reg b "acc" 16 in
@@ -170,16 +171,27 @@ let test_external_drive () =
   Builder.output b "out" 16;
   Builder.connect b "out" acc;
   let flat = Builder.finish b in
-  let net = Libdn.Network.create () in
-  let w = Goldengate.Fame1.wrap ~flat ~ins:[] ~outs:[] () in
-  let p = Goldengate.Fame1.add_to_network net ~name:"extsum" w in
-  Libdn.Network.set_drive net p (fun eng cyc -> eng.Libdn.Engine.set_input "x" cyc);
-  Libdn.Scheduler.run net ~cycles:5;
-  (* acc accumulates x at cycles 0..4 = 0+1+2+3+4 = 10 *)
-  Libdn.Scheduler.run net ~cycles:5;
-  let eng = (Libdn.Network.partition net p).pt_engine in
-  eng.Libdn.Engine.eval_comb ();
-  check_int "accumulated drive" 10 (eng.Libdn.Engine.get "out")
+  let acc_after scheduler targets =
+    let net = Libdn.Network.create () in
+    let w = Goldengate.Fame1.wrap ~flat ~ins:[] ~outs:[] () in
+    let p = Goldengate.Fame1.add_to_network net ~name:"extsum" w in
+    Libdn.Network.set_drive net p (fun eng cyc -> eng.Libdn.Engine.set_input "x" cyc);
+    List.iter (fun cycles -> Libdn.Scheduler.run ~scheduler net ~cycles) targets;
+    let eng = (Libdn.Network.partition net p).pt_engine in
+    eng.Libdn.Engine.eval_comb ();
+    eng.Libdn.Engine.get "out"
+  in
+  List.iter
+    (fun scheduler ->
+      List.iter
+        (fun targets ->
+          (* acc accumulates x at cycles 0..4 = 0+1+2+3+4 = 10 *)
+          check_int
+            (Printf.sprintf "%s, runs to %s" (Libdn.Scheduler.name scheduler)
+               (String.concat ";" (List.map string_of_int targets)))
+            10 (acc_after scheduler targets))
+        [ [ 5 ]; [ 5; 5 ]; [ 3; 5 ]; [ 1; 2; 3; 4; 5 ] ])
+    [ Libdn.Scheduler.Sequential; Libdn.Scheduler.Parallel ]
 
 (* ------------------------------------------------------------------ *)
 (* FAME-5                                                              *)

@@ -328,8 +328,7 @@ let test_null_overhead () =
    target cycle: its peer MUST accumulate nonzero spin/park stall time
    in the profile, and the telemetry MUST attribute stalls to the
    starved input channels.  Before the fix the fast paths bypassed the
-   stall counters and the single-core cooperative fallback was
-   structurally zero, so profiles reported an all-zero stall_breakdown
+   stall counters, so profiles reported an all-zero stall_breakdown
    on exactly the runs where stalls dominate. *)
 let test_starved_ring_stall_attribution () =
   let telemetry = Telemetry.create () in
@@ -361,13 +360,14 @@ let test_starved_ring_stall_attribution () =
   in
   check_bool "telemetry attributes stalls to channels" true (stalled > 0)
 
-(* The cooperative single-core fallback now counts failed round-robin
-   visits as spins instead of leaving the counters structurally zero.
+(* A parallel run on a single-core host is a sequential run, and the
+   sequential scheduler books stalls too: each visit that finds a
+   partition unable to progress is attributed to its blocking input.
    The network is built so the FIRST visited partition ("pass", a pure
    combinational passthrough) can do nothing at all until its peer
    ("src", a register source) has fired: its opening visit must fail
-   and be counted. *)
-let test_cooperative_spins_counted () =
+   and be booked on [pass]'s input channel. *)
+let test_cooperative_stalls_counted () =
   let chan name ports = { Libdn.Channel.name; ports } in
   let pass_module =
     let b = Firrtl.Builder.create "pass" in
@@ -385,31 +385,34 @@ let test_cooperative_spins_counted () =
     Firrtl.Builder.connect b "d" x;
     Firrtl.Builder.finish b
   in
-  let telemetry = Telemetry.create () in
-  let net = Libdn.Network.create ~telemetry () in
-  let add flat =
-    Goldengate.Fame1.add_to_network net ~name:flat.Firrtl.Ast.name
-      (Goldengate.Fame1.wrap ~flat
-         ~ins:[ chan "in" [ ("a", 8) ] ]
-         ~outs:[ chan "out" [ ("d", 8) ] ]
-         ())
+  let stalls scheduler =
+    let telemetry = Telemetry.create () in
+    let net = Libdn.Network.create ~telemetry () in
+    let add flat =
+      Goldengate.Fame1.add_to_network net ~name:flat.Firrtl.Ast.name
+        (Goldengate.Fame1.wrap ~flat
+           ~ins:[ chan "in" [ ("a", 8) ] ]
+           ~outs:[ chan "out" [ ("d", 8) ] ]
+           ())
+    in
+    let p_pass = add pass_module in
+    let p_src = add src_module in
+    Libdn.Network.connect net ~src:(p_src, "out") ~dst:(p_pass, "in");
+    Libdn.Network.connect net ~src:(p_pass, "out") ~dst:(p_src, "in");
+    Libdn.Scheduler.set_host_domains 1;
+    Fun.protect
+      ~finally:(fun () -> Libdn.Scheduler.set_host_domains 0)
+      (fun () -> Libdn.Scheduler.run ~scheduler net ~cycles:40);
+    Option.value ~default:0
+      (List.assoc_opt "net.pass.in.in.stalled" (Telemetry.counters telemetry))
   in
-  let p_pass = add pass_module in
-  let p_src = add src_module in
-  Libdn.Network.connect net ~src:(p_src, "out") ~dst:(p_pass, "in");
-  Libdn.Network.connect net ~src:(p_pass, "out") ~dst:(p_src, "in");
-  Libdn.Scheduler.set_host_domains 1;
-  Fun.protect
-    ~finally:(fun () -> Libdn.Scheduler.set_host_domains 0)
-    (fun () ->
-      Libdn.Scheduler.run ~scheduler:Libdn.Scheduler.Parallel net ~cycles:40);
-  let spins =
-    List.fold_left
-      (fun acc (name, v) ->
-        if String.ends_with ~suffix:".spins" name then acc + v else acc)
-      0 (Telemetry.counters telemetry)
-  in
-  check_bool "cooperative failed visits counted as spins" true (spins > 0)
+  List.iter
+    (fun scheduler ->
+      check_bool
+        (Libdn.Scheduler.name scheduler ^ ": failed visits booked as stalls")
+        true
+        (stalls scheduler > 0))
+    [ Libdn.Scheduler.Parallel; Libdn.Scheduler.Sequential ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -429,7 +432,7 @@ let suite =
           test_null_overhead;
         Alcotest.test_case "starved ring reports stall time" `Quick
           test_starved_ring_stall_attribution;
-        Alcotest.test_case "cooperative fallback counts spins" `Quick
-          test_cooperative_spins_counted;
+        Alcotest.test_case "cooperative fallback counts stalls" `Quick
+          test_cooperative_stalls_counted;
       ] );
   ]

@@ -239,7 +239,12 @@ let test_trace_shape () =
   let plan = ring_plan () in
   let tel = Telemetry.create ~trace:true () in
   let h = Fireaxe.instantiate ~scheduler:Libdn.Scheduler.Parallel ~telemetry:tel plan in
-  Fireaxe.Runtime.run h ~cycles:200;
+  (* The per-partition tracks are the domain workers'; pin a host-domain
+     count so a single-core host (where par is seq) still spawns them. *)
+  Libdn.Scheduler.set_host_domains 2;
+  Fun.protect
+    ~finally:(fun () -> Libdn.Scheduler.set_host_domains 0)
+    (fun () -> Fireaxe.Runtime.run h ~cycles:200);
   let tc = Option.get (Telemetry.trace tel) in
   (* Exercise the serialized form end to end: emit, reparse, inspect. *)
   let doc =
@@ -269,8 +274,7 @@ let test_trace_shape () =
   (* Nonzero run spans under the parallel scheduler.  Stall spans are a
      host-scheduling artifact: with real hardware parallelism workers
      genuinely park waiting for tokens, but on a single-thread host the
-     parallel policy degrades to the cooperative sweep, where the ring
-     never catches a partition unable to progress. *)
+     two domains mostly take turns and may never park. *)
   let named n =
     List.length (List.filter (fun e -> J.to_str (field "name" e) = n) spans)
   in
