@@ -144,20 +144,20 @@ let bench_lanes ~name ~cycles circuit =
 (* ------------------------------------------------------------------ *)
 
 (* The same monolithic bytecode sim stepped with the disabled
-   {!Telemetry.Profile.null} sink and with a live profile: the delta is
+   {!Telemetry.null} sink and with a profiling sink: the delta is
    the cost of the per-pass counters and clock reads on the engine hot
    path.  The live run also reports the retired opcode-class totals the
    profile attributes (static histogram x passes, so they are exact). *)
 let profile_overhead ~name ~cycles circuit =
   let flat = Firrtl.Flatten.flatten circuit in
-  let time profile =
-    let sim = Rtlsim.Sim.create ~engine:Rtlsim.Sim.Bytecode ~profile flat in
+  let time telemetry =
+    let sim = Rtlsim.Sim.create ~engine:Rtlsim.Sim.Bytecode ~telemetry flat in
     let step () = Rtlsim.Sim.step sim in
     Harness.warmup step;
     Harness.time (fun () -> for _ = 1 to cycles do step () done)
   in
-  let off_secs = time Telemetry.Profile.null in
-  let profile = Telemetry.Profile.create () in
+  let off_secs = time Telemetry.null in
+  let profile = Telemetry.create ~profile:true () in
   let on_secs = time profile in
   let overhead_pct = 100. *. (on_secs -. off_secs) /. off_secs in
   let retired =

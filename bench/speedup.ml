@@ -21,8 +21,8 @@
    curve FireAxe's Figure-style speedup plots want.
 
    A second measurement per design forces one REAL domain per partition
-   ([Libdn.Scheduler.set_host_domains]) and runs twice — once with the
-   disabled {!Telemetry.Profile.null} sink, once with a live profile —
+   ([Libdn.Scheduler.set_host_domains]) and runs twice — once with a
+   metrics-level sink, once with a profiling one —
    so the report carries (a) a truthful per-partition
    run/exchange/spin/park/barrier stall breakdown (a single-core
    parallel run is a sequential run, which has no spin or park phases
@@ -33,13 +33,13 @@
    spurious NEGATIVE profiler overhead. *)
 
 (* Each measurement runs with a live telemetry sink so the JSON report
-   can break wall-clock down into per-partition run/idle/barrier time
-   and per-channel stall attribution. *)
-let measure ?profile ?(batch_cycles = 1) ?groups plan ~cycles scheduler =
-  let telemetry = Telemetry.create () in
+   can break wall-clock down into per-partition run/spin/park/barrier
+   time and per-channel stall attribution; [profile] raises it to the
+   timing level. *)
+let measure ?(profile = false) ?(batch_cycles = 1) ?groups plan ~cycles scheduler =
+  let telemetry = Telemetry.create ~profile () in
   let h =
-    Fireripper.Runtime.instantiate ~scheduler ~batch_cycles ?groups ~telemetry
-      ?profile plan
+    Fireripper.Runtime.instantiate ~scheduler ~batch_cycles ?groups ~telemetry plan
   in
   let secs = Harness.time (fun () -> Fireripper.Runtime.run h ~cycles) in
   (secs, Fireripper.Runtime.token_transfers h, telemetry)
@@ -180,9 +180,8 @@ let bench ~name ~cycles plan =
   Libdn.Scheduler.set_host_domains n_units;
   ignore (measure plan ~cycles Libdn.Scheduler.Parallel);
   let base_secs, _, _ = run ~tag:"domains" Libdn.Scheduler.Parallel in
-  let profile = Telemetry.Profile.create () in
   let prof_secs, _, prof_tel =
-    run ~profile ~tag:"profiled" Libdn.Scheduler.Parallel
+    run ~profile:true ~tag:"profiled" Libdn.Scheduler.Parallel
   in
   Libdn.Scheduler.set_host_domains 0;
   let overhead_pct = 100. *. (prof_secs -. base_secs) /. base_secs in
@@ -228,7 +227,7 @@ let bench ~name ~cycles plan =
             ("cycles_per_s", Telemetry.Json.Float (float_of_int cycles /. prof_secs));
           ] );
       ("profile_overhead_pct", Telemetry.Json.Float overhead_pct);
-      ("stall_breakdown", Telemetry.Json.Obj (stall_breakdown profile));
+      ("stall_breakdown", Telemetry.Json.Obj (stall_breakdown prof_tel));
       ("stalled_channels", Telemetry.Json.Obj (stalled_channels prof_tel));
     ]
     :: !report_rows

@@ -490,7 +490,22 @@ let make_progress_printer ~cycles ~units ~transfers () =
       (cyc_s *. float_of_int units)
       eta
 
-let run_remote ~telemetry ~profile ~profile_handle ~collect ~flush ~scheduler
+(* The one sink of a run: live only when some exporter was requested
+   (otherwise the shared disabled sink keeps the hot path free);
+   [--profile] is its timing level. *)
+let sink_of ~metrics ~trace_file ~profile_file =
+  if metrics = None && trace_file = None && profile_file = None then Telemetry.null
+  else Telemetry.create ~trace:(trace_file <> None) ~profile:(profile_file <> None) ()
+
+let emit_profile telemetry = function
+  | None -> ()
+  | Some path ->
+    Telemetry.Profile.write telemetry ~path;
+    Telemetry.Profile.write_trace telemetry ~path:(path ^ ".trace.json");
+    Fmt.pr "profile written to %s (flamegraph view: %s.trace.json)@." path path;
+    print_string (Telemetry.Profile.report_string telemetry)
+
+let run_remote ~telemetry ~profile_handle ~collect ~flush ~scheduler
     ~batch_cycles ~placement ~engine ~lanes
     ~checkpoint_dir ~checkpoint_every ~chaos_seed ~resume ~vcd_path ~wave_out ~sample
     ~flight_depth ~flight_dir ~flight_ref ~progress design plan cycles =
@@ -512,7 +527,7 @@ let run_remote ~telemetry ~profile ~profile_handle ~collect ~flush ~scheduler
   in
   let sv =
     Fireaxe.supervise ~scheduler ~batch_cycles ~placement
-      ~telemetry ~profile ~engine
+      ~telemetry ~engine
       ?lanes:(if lanes > 1 then Some lanes else None)
       ?checkpoint_dir ~every:checkpoint_every ?chaos ~on_event
       ~worker:(worker_path ()) ~remote_units:(List.init n Fun.id) plan
@@ -636,16 +651,7 @@ let run design mode select routers scheduler batch_cycles placement
     every resume save_snap check remote metrics trace_file progress checkpoint_dir
     checkpoint_every chaos_seed flight_depth flight_dir wavediff profile_file =
   let placement = scheduler_knobs ~batch_cycles ~placement in
-  (* A live sink only when some exporter was requested; otherwise the
-     shared disabled sink keeps the hot path free. *)
-  let telemetry =
-    if metrics <> None || trace_file <> None then
-      Telemetry.create ~trace:(trace_file <> None) ()
-    else Telemetry.null
-  in
-  let profile =
-    if profile_file <> None then Telemetry.Profile.create () else Telemetry.Profile.null
-  in
+  let telemetry = sink_of ~metrics ~trace_file ~profile_file in
   let profile_handle = ref None in
   (* Remote profile slices are fetched over the worker pipe, so they
      must be collected while the workers are alive — and only once. *)
@@ -672,19 +678,10 @@ let run design mode select routers scheduler batch_cycles placement
     | Some path -> Telemetry.write_metrics telemetry ~path
     | None -> ()
   in
-  let emit_profile () =
-    match profile_file with
-    | None -> ()
-    | Some path ->
-      collect_profiles ();
-      Telemetry.Profile.write profile ~path;
-      Telemetry.Profile.write_trace profile ~path:(path ^ ".trace.json");
-      Fmt.pr "profile written to %s (flamegraph view: %s.trace.json)@." path path;
-      print_string (Telemetry.Profile.report_string profile)
-  in
   let emit_exporters () =
     emit_telemetry ();
-    emit_profile ()
+    if profile_file <> None then collect_profiles ();
+    emit_profile telemetry profile_file
   in
   let flight_ref = ref None in
   match
@@ -710,7 +707,7 @@ let run design mode select routers scheduler batch_cycles placement
       let circuit = design.d_circuit () in
       let plan = Fireaxe.compile ~config:(config_of design mode select routers) circuit in
       if remote then
-        run_remote ~telemetry ~profile ~profile_handle ~collect:collect_profiles
+        run_remote ~telemetry ~profile_handle ~collect:collect_profiles
           ~flush:emit_exporters ~scheduler ~batch_cycles ~placement
           ~engine ~lanes ~checkpoint_dir
           ~checkpoint_every ~chaos_seed ~resume ~vcd_path ~wave_out ~sample ~flight_depth
@@ -718,7 +715,7 @@ let run design mode select routers scheduler batch_cycles placement
       else begin
         let h =
           Fireaxe.instantiate ~scheduler ~batch_cycles ~placement
-            ~telemetry ~profile ~engine ~lanes plan
+            ~telemetry ~engine ~lanes plan
         in
         profile_handle := Some h;
         do_resume h ~checkpoint_dir resume;
@@ -954,8 +951,8 @@ let metrics_arg =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Write a JSON metrics snapshot (per-channel token counts, stall \
-           attribution, scheduler run/idle/barrier time) after the run — also on \
-           deadlock.  Use /dev/stdout to print it.")
+           attribution, per-partition sched.<part>.run_ns/spin_ns/park_ns/barrier_ns) \
+           after the run — also on deadlock.  Use /dev/stdout to print it.")
 
 let trace_file_arg =
   Arg.(
@@ -1022,7 +1019,8 @@ let profile_file_arg =
     & opt (some string) None
     & info [ "profile" ] ~docv:"FILE"
         ~doc:
-          "Write a hot-path profile (schema $(b,fireaxe-profile-1)) to $(docv) after \
+          "Raise the run's telemetry sink to its timing level and write a hot-path \
+           profile (schema $(b,fireaxe-profile-1)) read from it to $(docv) after \
            the run — also on deadlock or divergence: per-opcode-class retired \
            instruction counts, per-cone eval time, per-partition \
            run/exchange/spin/park/barrier breakdown, per-channel exchange cost, \
@@ -1078,9 +1076,9 @@ let validate design scheduler batch_cycles placement engine lanes
   (* Generic validation: run until a design-specific "finished" register
      condition; for designs without one, compare state after N cycles. *)
   let placement = scheduler_knobs ~batch_cycles ~placement in
-  let profile =
-    if profile_file <> None then Telemetry.Profile.create () else Telemetry.Profile.null
-  in
+  (* Both partitioned runs (exact and fast) accumulate into the one
+     sink, so the profile covers the whole validation. *)
+  let telemetry = sink_of ~metrics:None ~trace_file:None ~profile_file in
   (* --wave-out additionally captures the golden monolithic trace of the
      validated workload over the design's probes (which also arms the
      side-by-side divergence check). *)
@@ -1089,7 +1087,7 @@ let validate design scheduler batch_cycles placement engine lanes
   let go ~circuit ~setup ~finished =
     let v =
       Fireaxe.validate ~scheduler ~batch_cycles ~placement ~engine
-        ~lanes ~profile ~name:design.d_name ~circuit
+        ~lanes ~telemetry ~name:design.d_name ~circuit
         ~selection:design.d_selection ~probes ?wave_out ~setup ~finished ()
     in
     Fmt.pr "monolithic %d | exact %d (%.2f%%) | fast %d (%.2f%%)@."
@@ -1146,15 +1144,7 @@ let validate design scheduler batch_cycles placement engine lanes
         List.iter (fun i -> poke ~mem:"mem$mem" (32 + i) (i * 3)) (List.init 16 Fun.id))
       ~finished:(fun ~peek -> peek "core$halted_r" = 1)
   | _ -> Fmt.pr "validate supports: soc, dramsoc, k5soc, sha3, gemmini (use 'run' for other designs)@.");
-  match profile_file with
-  | None -> ()
-  | Some path ->
-    (* Both partitioned runs (exact and fast) accumulated into the one
-       sink, so the profile covers the whole validation. *)
-    Telemetry.Profile.write profile ~path;
-    Telemetry.Profile.write_trace profile ~path:(path ^ ".trace.json");
-    Fmt.pr "profile written to %s (flamegraph view: %s.trace.json)@." path path;
-    print_string (Telemetry.Profile.report_string profile)
+  emit_profile telemetry profile_file
 
 let validate_cmd =
   Cmd.v

@@ -36,9 +36,9 @@ let () =
              Sys.argv.(3));
         exit 2
   in
-  let profile =
-    if Array.length Sys.argv < 5 then Telemetry.Profile.null
-    else if Sys.argv.(4) = "profile" then Telemetry.Profile.create ()
+  let telemetry =
+    if Array.length Sys.argv < 5 then Telemetry.null
+    else if Sys.argv.(4) = "profile" then Telemetry.create ~profile:true ()
     else begin
       prerr_endline
         (Printf.sprintf "fireaxe-worker: bad flag %S (want \"profile\")"
@@ -47,7 +47,7 @@ let () =
     end
   in
   let circuit = Firrtl.Text.load ~path:Sys.argv.(1) in
-  let sim = Rtlsim.Sim.of_circuit ?engine ?lanes ~profile circuit in
+  let sim = Rtlsim.Sim.of_circuit ?engine ?lanes ~telemetry circuit in
   let eng = Libdn.Engine.of_sim sim in
   (* Cones and checkpoints draw from SEPARATE id counters: cone ids are
      then a pure function of registration order, which is what lets a
@@ -142,7 +142,7 @@ let () =
          with
         | End_of_file -> running := false
         | Rtlsim.Sim.Sim_error m -> reply "error: %s" m)
-      | [ "profile" ] -> reply "%s" (Telemetry.Profile.slice_string profile)
+      | [ "profile" ] -> reply "%s" (Telemetry.Profile.slice_string telemetry)
       | [ "quit" ] -> running := false
       | _ -> bad line)
   done

@@ -40,20 +40,20 @@ let report plan = Report.build plan
     re-exported so callers can say [Fireaxe.Place.Auto]. *)
 module Place = Platform.Place
 
-(* The placement assignment for [plan] under [policy], weighted by a
-   previous run's [profile] when it recorded one (else the static
-   resource estimate).  [None] policy = spread, the historical
+(* The placement assignment for [plan] under [policy], weighted by the
+   load model [telemetry] already holds from a previous run (else the
+   static resource estimate).  [None] policy = spread, the historical
    one-domain-per-partition mapping. *)
-let placement_groups ?profile ?placement plan =
+let placement_groups ?telemetry ?placement plan =
   match placement with
   | None -> None
-  | Some policy -> Platform.Place.groups ?profile ~policy plan
+  | Some policy -> Platform.Place.groups ?telemetry ~policy plan
 
 let instantiate ?fame5 ?scheduler ?batch_cycles ?placement
-    ?telemetry ?profile ?engine ?lanes plan =
-  let groups = placement_groups ?profile ?placement plan in
+    ?telemetry ?engine ?lanes plan =
+  let groups = placement_groups ?telemetry ?placement plan in
   Runtime.instantiate ?fame5 ?scheduler ?batch_cycles ?groups
-    ?telemetry ?profile ?engine ?lanes plan
+    ?telemetry ?engine ?lanes plan
 
 (** Instantiates [plan] with [remote_units] hosted in worker processes
     and wraps the handle in a crash-recovering supervisor: durable
@@ -62,12 +62,12 @@ let instantiate ?fame5 ?scheduler ?batch_cycles ?placement
     it with {!Resilience.Supervisor.run}; {!Resilience.Supervisor.close}
     when done. *)
 let supervise ?scheduler ?batch_cycles ?placement ?read_timeout
-    ?telemetry ?profile ?engine ?lanes ?checkpoint_dir ?every ?policy ?chaos
+    ?telemetry ?engine ?lanes ?checkpoint_dir ?every ?policy ?chaos
     ?on_event ~worker ~remote_units plan =
-  let groups = placement_groups ?profile ?placement plan in
+  let groups = placement_groups ?telemetry ?placement plan in
   let handle, _conns =
     Runtime.instantiate_remote ?scheduler ?batch_cycles ?groups
-      ?read_timeout ?telemetry ?profile ?engine ?lanes ~worker ~remote_units
+      ?read_timeout ?telemetry ?engine ?lanes ~worker ~remote_units
       plan
   in
   Resilience.Supervisor.create ?checkpoint_dir ?every ?policy ?chaos ?on_event
@@ -156,7 +156,7 @@ let wave_diff ?(scheduler = Libdn.Scheduler.default) ?(mode = Spec.Exact) ?engin
     When [probes] are given, a side-by-side {!wave_diff} of the
     monolithic and exact runs localizes any divergence. *)
 let validate ?(scheduler = Libdn.Scheduler.default) ?batch_cycles
-    ?placement ?engine ?lanes ?profile ?(probes = []) ?wave_out ~name ~circuit
+    ?placement ?engine ?lanes ?telemetry ?(probes = []) ?wave_out ~name ~circuit
     ~selection ?(setup = fun ~poke:_ -> ()) ~finished ?(max_cycles = 1_000_000)
     () =
   let mono =
@@ -181,7 +181,7 @@ let validate ?(scheduler = Libdn.Scheduler.default) ?batch_cycles
     let plan = compile ~config (circuit ()) in
     let handle =
       instantiate ~scheduler ?batch_cycles ?placement ?engine
-        ?lanes ?profile plan
+        ?lanes ?telemetry plan
     in
     run_partitioned_until handle ~setup ~finished ~max_cycles
   in

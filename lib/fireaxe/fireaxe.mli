@@ -52,8 +52,8 @@ val report : Plan.t -> Report.t
     analogue of the paper's fast-mode crossing amortization (1 =
     per-cycle, the default; bit-exact either way by LI-BDN
     determinism).  [placement] picks the partition-to-domain
-    assignment; [Place.Auto] weighs units by
-    [profile]'s load model when it recorded one (a previous run's
+    assignment; [Place.Auto] weighs units by the load model
+    [telemetry] already holds when it recorded one (a previous run's
     measured truth), else by the static resource estimate. *)
 val instantiate :
   ?fame5:bool ->
@@ -61,7 +61,6 @@ val instantiate :
   ?batch_cycles:int ->
   ?placement:Place.policy ->
   ?telemetry:Telemetry.t ->
-  ?profile:Telemetry.Profile.t ->
   ?engine:Rtlsim.Sim.engine ->
   ?lanes:int ->
   Plan.t ->
@@ -81,7 +80,6 @@ val supervise :
   ?placement:Place.policy ->
   ?read_timeout:float ->
   ?telemetry:Telemetry.t ->
-  ?profile:Telemetry.Profile.t ->
   ?engine:Rtlsim.Sim.engine ->
   ?lanes:int ->
   ?checkpoint_dir:string ->
@@ -146,8 +144,8 @@ val wave_diff :
     [engine] their evaluation engine and [lanes] its lane count (the
     partitioned runs then advance N broadcast-identical copies in
     lockstep — a vectorization smoke test on top of the validation);
-    [profile] threads a hot-path profiling sink into the partitioned
-    runs (both exact and fast accumulate into it).
+    [telemetry] is the sink of the partitioned runs (both exact and
+    fast accumulate into it).
     When [probes] are given, a side-by-side {!wave_diff} of the
     monolithic and exact runs localizes any divergence into
     [v_divergence].  [wave_out] (requires [probes]) additionally writes
@@ -159,7 +157,7 @@ val validate :
   ?placement:Place.policy ->
   ?engine:Rtlsim.Sim.engine ->
   ?lanes:int ->
-  ?profile:Telemetry.Profile.t ->
+  ?telemetry:Telemetry.t ->
   ?probes:string list ->
   ?wave_out:string ->
   name:string ->

@@ -54,10 +54,9 @@ let zero_token (spec : Libdn.Channel.spec) =
 
 (* Wires [engines] (one per plan unit, in order) into an LI-BDN
    network: FAME-1 wrap, channel connections, fast-mode seed tokens. *)
-let build_network ?(telemetry = Telemetry.null)
-    ?(profile = Telemetry.Profile.null) (plan : Plan.t) engines =
+let build_network ~telemetry (plan : Plan.t) engines =
   let pairs = Plan.channel_pairs plan in
-  let net = Libdn.Network.create ~telemetry ~profile () in
+  let net = Libdn.Network.create ~telemetry () in
   (* Partitions are added in unit order so network index = unit index. *)
   Array.iteri
     (fun k engine ->
@@ -90,14 +89,60 @@ let build_network ?(telemetry = Telemetry.null)
     pairs;
   net
 
+(* The one unit builder behind {!instantiate} and {!instantiate_remote}:
+   each unit is hosted by the worker [spawn] returns for it, else by a
+   FAME-5 engine when [fame5] is set and the unit is eligible, else by
+   an in-process simulator recording into [telemetry]. *)
+let build ~fame5 ~scheduler ~batch_cycles ?groups ~telemetry ?engine ?lanes ~spawn
+    (plan : Plan.t) =
+  let n = Plan.n_units plan in
+  let sims = Array.make n None in
+  let fame5s = Array.make n None in
+  let remote = Array.make n None in
+  let unit_engine (u : Plan.unit_part) =
+    let k = u.Plan.u_index in
+    match spawn u with
+    | Some conn ->
+      remote.(k) <- Some conn;
+      Libdn.Remote_engine.engine conn
+    | None -> (
+      match if fame5 then fame5_eligible u else None with
+      | Some (insts, tile_module) ->
+        let tile_circuit =
+          { u.Plan.u_circuit with Ast.main = tile_module; cname = tile_module }
+        in
+        let tile_flat = Flatten.flatten (Hierarchy.prune tile_circuit) in
+        let f5 = Goldengate.Fame5.create ?engine ~flat:tile_flat ~insts () in
+        fame5s.(k) <- Some f5;
+        Goldengate.Fame5.engine f5
+      | None ->
+        let sim =
+          Rtlsim.Sim.create ?engine ?lanes ~telemetry ~label:u.Plan.u_name
+            (Lazy.force u.Plan.u_flat)
+        in
+        sims.(k) <- Some sim;
+        Libdn.Engine.of_sim sim)
+  in
+  let engines = Array.map unit_engine plan.Plan.p_units in
+  let net = build_network ~telemetry plan engines in
+  Option.iter (Libdn.Network.set_groups net) groups;
+  {
+    h_plan = plan;
+    h_net = net;
+    h_scheduler = scheduler;
+    h_batch_cycles = batch_cycles;
+    h_engines = engines;
+    h_sims = sims;
+    h_fame5 = fame5s;
+    h_remote = remote;
+  }
+
 (** Builds the network.  [fame5] requests multithreading of eligible
     wrapper units (duplicate-module partitions); [scheduler] picks the
     execution policy ({!Libdn.Scheduler.Sequential} by default);
     [telemetry] (default {!Telemetry.null}) makes every layer of the
-    resulting simulation record into the given sink; [profile]
-    (default {!Telemetry.Profile.null}) likewise threads a hot-path
-    profiling sink into each unit's engine and the network/scheduler
-    layers.  [lanes] gives
+    resulting simulation — unit engines included — record into the
+    given sink.  [lanes] gives
     every non-FAME-5 unit engine that many lanes (N identical copies of
     the partitioned design advanced in lockstep; inputs broadcast to
     all lanes).  FAME-5 units ignore it — their lane count is their
@@ -109,47 +154,19 @@ let build_network ?(telemetry = Telemetry.null)
     [Platform.Place]) fusing partitions onto shared domains. *)
 let instantiate ?(fame5 = false) ?(scheduler = Libdn.Scheduler.default)
     ?(batch_cycles = Libdn.Scheduler.default_batch_cycles) ?groups
-    ?(telemetry = Telemetry.null) ?(profile = Telemetry.Profile.null) ?engine
-    ?lanes (plan : Plan.t) =
-  let n = Plan.n_units plan in
-  let engines = Array.make n None in
-  let sims = Array.make n None in
-  let fame5s = Array.make n None in
-  Array.iter
-    (fun (u : Plan.unit_part) ->
-      let engine =
-        match if fame5 then fame5_eligible u else None with
-        | Some (insts, tile_module) ->
-          let tile_circuit =
-            { u.Plan.u_circuit with Ast.main = tile_module; cname = tile_module }
-          in
-          let tile_flat = Flatten.flatten (Hierarchy.prune tile_circuit) in
-          let f5 = Goldengate.Fame5.create ?engine ~flat:tile_flat ~insts () in
-          fame5s.(u.Plan.u_index) <- Some f5;
-          Goldengate.Fame5.engine f5
-        | None ->
-          let sim =
-            Rtlsim.Sim.create ?engine ?lanes ~profile ~label:u.Plan.u_name
-              (Lazy.force u.Plan.u_flat)
-          in
-          sims.(u.Plan.u_index) <- Some sim;
-          Libdn.Engine.of_sim sim
-      in
-      engines.(u.Plan.u_index) <- Some engine)
-    plan.Plan.p_units;
-  let engines = Array.map Option.get engines in
-  let net = build_network ~telemetry ~profile plan engines in
-  Option.iter (Libdn.Network.set_groups net) groups;
-  {
-    h_plan = plan;
-    h_net = net;
-    h_scheduler = scheduler;
-    h_batch_cycles = batch_cycles;
-    h_engines = engines;
-    h_sims = sims;
-    h_fame5 = fame5s;
-    h_remote = Array.make n None;
-  }
+    ?(telemetry = Telemetry.null) ?engine ?lanes (plan : Plan.t) =
+  build ~fame5 ~scheduler ~batch_cycles ?groups ~telemetry ?engine ?lanes
+    ~spawn:(fun _ -> None)
+    plan
+
+(** The live worker connection of a remote-hosted unit, if any. *)
+let conn_of h k = h.h_remote.(k)
+
+(** All live worker connections, in unit order. *)
+let remote_conns h =
+  Array.to_list h.h_remote
+  |> List.mapi (fun k c -> Option.map (fun c -> (k, c)) c)
+  |> List.filter_map Fun.id
 
 (* Serializes unit [k]'s flattened circuit to a fresh temp .fir file,
    hands the path to [f], and removes the file afterwards. *)
@@ -165,69 +182,28 @@ let with_unit_fir (plan : Plan.t) k f =
 (** Builds the network with the units in [remote_units] hosted in their
     own worker PROCESSES (the software analogue of separate FPGAs);
     everything else stays in-process.  Returns the handle and the live
-    connections, in [remote_units] order — [Libdn.Remote_engine.close]
+    connections, in unit order — [Libdn.Remote_engine.close]
     them when done.  Remote units have no local simulator, so [sim_of]
     and [locate] skip them; use the connection's poke/peek instead
     (snapshots DO cover them, through the worker pipe protocol).
     [read_timeout] bounds every worker reply wait in seconds. *)
 let instantiate_remote ?(scheduler = Libdn.Scheduler.default)
     ?(batch_cycles = Libdn.Scheduler.default_batch_cycles) ?groups
-    ?read_timeout ?(telemetry = Telemetry.null)
-    ?(profile = Telemetry.Profile.null) ?engine ?lanes ~worker ~remote_units
+    ?read_timeout ?(telemetry = Telemetry.null) ?engine ?lanes ~worker ~remote_units
     (plan : Plan.t) =
-  let n = Plan.n_units plan in
-  let engines = Array.make n None in
-  let sims = Array.make n None in
-  let fame5s = Array.make n None in
-  let conns = ref [] in
-  Array.iter
-    (fun (u : Plan.unit_part) ->
-      let engine =
-        if List.mem u.Plan.u_index remote_units then begin
-          let conn =
-            with_unit_fir plan u.Plan.u_index (fun path ->
-                Libdn.Remote_engine.spawn ~label:u.Plan.u_name ?read_timeout ~telemetry
-                  ~profile ?engine ?lanes ~worker ~fir_path:path ())
-          in
-          conns := (u.Plan.u_index, conn) :: !conns;
-          Libdn.Remote_engine.engine conn
-        end
-        else begin
-          let sim =
-            Rtlsim.Sim.create ?engine ?lanes ~profile ~label:u.Plan.u_name
-              (Lazy.force u.Plan.u_flat)
-          in
-          sims.(u.Plan.u_index) <- Some sim;
-          Libdn.Engine.of_sim sim
-        end
-      in
-      engines.(u.Plan.u_index) <- Some engine)
-    plan.Plan.p_units;
-  let engines = Array.map Option.get engines in
-  let net = build_network ~telemetry ~profile plan engines in
-  Option.iter (Libdn.Network.set_groups net) groups;
-  let remote = Array.make n None in
-  List.iter (fun (k, conn) -> remote.(k) <- Some conn) !conns;
-  ( {
-      h_plan = plan;
-      h_net = net;
-      h_scheduler = scheduler;
-      h_batch_cycles = batch_cycles;
-      h_engines = engines;
-      h_sims = sims;
-      h_fame5 = fame5s;
-      h_remote = remote;
-    },
-    List.rev !conns )
-
-(** The live worker connection of a remote-hosted unit, if any. *)
-let conn_of h k = h.h_remote.(k)
-
-(** All live worker connections, in unit order. *)
-let remote_conns h =
-  Array.to_list h.h_remote
-  |> List.mapi (fun k c -> Option.map (fun c -> (k, c)) c)
-  |> List.filter_map Fun.id
+  let spawn (u : Plan.unit_part) =
+    if not (List.mem u.Plan.u_index remote_units) then None
+    else
+      Some
+        (with_unit_fir plan u.Plan.u_index (fun path ->
+             Libdn.Remote_engine.spawn ~label:u.Plan.u_name ?read_timeout ~telemetry
+               ?engine ?lanes ~worker ~fir_path:path ()))
+  in
+  let h =
+    build ~fame5:false ~scheduler ~batch_cycles ?groups ~telemetry ?engine ?lanes ~spawn
+      plan
+  in
+  (h, remote_conns h)
 
 (** Respawns the (dead) worker hosting remote unit [k] behind its
     existing connection — the network's engine closures keep working.
@@ -247,19 +223,16 @@ let batch_cycles h = h.h_batch_cycles
     when instantiated without one). *)
 let telemetry h = Libdn.Network.telemetry h.h_net
 
-(** The profiling sink every layer of this handle records into
-    ({!Telemetry.Profile.null} when instantiated without one). *)
-let profile h = Libdn.Network.profile h.h_net
-
 (** Pulls each live remote worker's profile document over the pipe and
-    attaches it to [profile h] as a remote slice (one per worker, keyed
-    by unit name).  No-op for handles without profiled remote units. *)
+    attaches it to [telemetry h] as a remote slice (one per worker,
+    keyed by unit name).  No-op for handles without profiled remote
+    units. *)
 let collect_remote_profiles h =
   List.iter
     (fun (k, conn) ->
       match Libdn.Remote_engine.fetch_profile conn with
       | Some j ->
-        Telemetry.Profile.add_slice (profile h)
+        Telemetry.Profile.add_slice (telemetry h)
           ~label:h.h_plan.Plan.p_units.(k).Plan.u_name j
       | None -> ())
     (remote_conns h)

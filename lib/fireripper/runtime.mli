@@ -22,12 +22,10 @@ val fame5_eligible : Plan.unit_part -> (string list * string) option
 (** Builds the network; [fame5] threads eligible wrapper units;
     [scheduler] picks the execution policy for [run]/[run_until]
     ({!Libdn.Scheduler.Sequential} by default); [telemetry] (default
-    {!Telemetry.null}, free on the hot path) makes every layer record
-    into the given sink; [profile] (default {!Telemetry.Profile.null},
-    same discipline) threads a hot-path profiling sink into each unit's
-    engine and the network/scheduler layers; [engine] selects every
-    unit simulator's
-    evaluation engine ({!Rtlsim.Sim.default_engine} otherwise);
+    {!Telemetry.null}, free on the hot path) makes every layer — unit
+    engines included — record into the given sink (a profiling sink
+    adds the engines' pass and cone timing); [engine] selects every
+    unit simulator's evaluation engine ({!Rtlsim.Sim.default_engine} otherwise);
     [lanes] gives every non-FAME-5 unit engine that many lanes —
     N identical copies of the partitioned design advanced in lockstep,
     inputs broadcast to all lanes (bytecode engine only).  FAME-5
@@ -43,7 +41,6 @@ val instantiate :
   ?batch_cycles:int ->
   ?groups:int array ->
   ?telemetry:Telemetry.t ->
-  ?profile:Telemetry.Profile.t ->
   ?engine:Rtlsim.Sim.engine ->
   ?lanes:int ->
   Plan.t ->
@@ -52,7 +49,7 @@ val instantiate :
 (** Builds the network with the listed units hosted in their own worker
     processes (the software analogue of separate FPGAs), spawned from
     the [worker] binary.  Returns the live connections in
-    [remote_units] order; close them when done.  Remote units have no
+    unit order; close them when done.  Remote units have no
     local simulator ([sim_of]/[locate] skip them) — use the
     connection's poke/peek instead.  Snapshots DO cover remote units,
     through the worker pipe protocol.  [read_timeout] bounds every
@@ -66,7 +63,6 @@ val instantiate_remote :
   ?groups:int array ->
   ?read_timeout:float ->
   ?telemetry:Telemetry.t ->
-  ?profile:Telemetry.Profile.t ->
   ?engine:Rtlsim.Sim.engine ->
   ?lanes:int ->
   worker:string ->
@@ -97,12 +93,8 @@ val batch_cycles : handle -> int
     when instantiated without one). *)
 val telemetry : handle -> Telemetry.t
 
-(** The profiling sink every layer of this handle records into
-    ({!Telemetry.Profile.null} when instantiated without one). *)
-val profile : handle -> Telemetry.Profile.t
-
 (** Pulls each live remote worker's profile document over the pipe and
-    attaches it to [profile h] as a remote slice, keyed by unit name.
+    attaches it to [telemetry h] as a remote slice, keyed by unit name.
     No-op for handles without profiled remote units. *)
 val collect_remote_profiles : handle -> unit
 

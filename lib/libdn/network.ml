@@ -29,8 +29,14 @@ type in_chan = {
   ic_stalled : Telemetry.counter;
       (** times this input was the blocking one when its partition
           stalled (see {!record_stall}) *)
-  ic_prof : Telemetry.Profile.chan;
-      (** per-channel exchange cost (enq+deq ns, batch sizes) *)
+  ic_max_batch : Telemetry.gauge;  (** largest slab pushed or dropped *)
+  ic_pushes : Telemetry.counter;  (** slab pushes (profile level) *)
+  ic_push_ns : Telemetry.counter;  (** their cost (profile level) *)
+  ic_drops : Telemetry.counter;
+      (** multi-drops of consumed heads (profile level) *)
+  ic_drop_ns : Telemetry.counter;
+      (** this channel's share of its partition's locked drops (profile
+          level) *)
 }
 
 type out_chan = {
@@ -56,8 +62,12 @@ type partition = {
   mutable pt_drive : Engine.t -> int -> unit;
       (** Hook that sets the partition's external (non-channel) inputs
           for the given target cycle. *)
-  pt_prof : Telemetry.Profile.part;
-      (** the scheduler's run/exchange/spin/park/barrier timeline *)
+  pt_run_ns : Telemetry.counter;
+      (** [sched.<name>.run_ns]: wall time inside {!sweep_batch},
+          exchange included *)
+  pt_exchange_ns : Telemetry.counter;
+      (** the flushes' share of [run_ns] (profile level) *)
+  pt_cycles : Telemetry.counter;  (** target cycles advanced *)
 }
 
 type t = {
@@ -68,11 +78,11 @@ type t = {
   tel : Telemetry.t;
   tel_on : bool;
       (** cached [Telemetry.enabled tel]: gates instrumentation that must
-          do extra work to compute a sample (queue lengths) *)
-  prof : Telemetry.Profile.t;
-  prof_on : bool;
-      (** cached [Telemetry.Profile.enabled prof]: gates the clock reads
-          around token pushes/drops *)
+          do extra work to compute a sample (queue lengths, the sweep
+          clock) *)
+  timed : bool;
+      (** cached [Telemetry.profiling tel]: gates the clock reads around
+          token pushes/drops *)
   mutable on_deadlock : (Telemetry.Snapshot.t -> unit) list;
       (** observers invoked (newest last) before {!raise_deadlock}
           raises — how a flight recorder dumps post-mortem state without
@@ -87,8 +97,7 @@ exception Deadlock of string
 
 let default_queue_capacity = 1024
 
-let create ?(queue_capacity = default_queue_capacity) ?(telemetry = Telemetry.null)
-    ?(profile = Telemetry.Profile.null) () =
+let create ?(queue_capacity = default_queue_capacity) ?(telemetry = Telemetry.null) () =
   {
     parts = [];
     frozen = [||];
@@ -96,15 +105,12 @@ let create ?(queue_capacity = default_queue_capacity) ?(telemetry = Telemetry.nu
     token_transfers = Atomic.make 0;
     tel = telemetry;
     tel_on = Telemetry.enabled telemetry;
-    prof = profile;
-    prof_on = Telemetry.Profile.enabled profile;
+    timed = Telemetry.profiling telemetry;
     on_deadlock = [];
     groups = [||];
   }
 
 let telemetry t = t.tel
-let profile t = t.prof
-let profile_enabled t = t.prof_on
 
 (** Registers an observer of {!raise_deadlock}: it receives the
     structured snapshot before the {!Deadlock} exception propagates.
@@ -123,6 +129,7 @@ let add_partition t ~name ~engine ~(ins : Channel.spec list)
   let out_metric chan kind =
     Printf.sprintf "net.%s.out.%s.%s" name chan kind
   in
+  let sched_metric kind = Printf.sprintf "sched.%s.%s" name kind in
   let pt_ins =
     Array.of_list
       (List.map
@@ -135,7 +142,11 @@ let add_partition t ~name ~engine ~(ins : Channel.spec list)
              ic_deq = Telemetry.counter t.tel (in_metric chan "deq");
              ic_peak = Telemetry.gauge t.tel (in_metric chan "peak");
              ic_stalled = Telemetry.counter t.tel (in_metric chan "stalled");
-             ic_prof = Telemetry.Profile.channel t.prof ~part:name ~name:chan;
+             ic_max_batch = Telemetry.gauge t.tel (in_metric chan "max_batch");
+             ic_pushes = Telemetry.timer t.tel (in_metric chan "pushes");
+             ic_push_ns = Telemetry.timer t.tel (in_metric chan "push_ns");
+             ic_drops = Telemetry.timer t.tel (in_metric chan "drops");
+             ic_drop_ns = Telemetry.timer t.tel (in_metric chan "drop_ns");
            })
          ins)
   in
@@ -173,8 +184,9 @@ let add_partition t ~name ~engine ~(ins : Channel.spec list)
       pt_outs;
       pt_cycle = 0;
       pt_drive = (fun _ _ -> ());
-      pt_prof =
-        Telemetry.Profile.part t.prof ~name ~index:(List.length t.parts);
+      pt_run_ns = Telemetry.counter t.tel (sched_metric "run_ns");
+      pt_exchange_ns = Telemetry.timer t.tel (sched_metric "exchange_ns");
+      pt_cycles = Telemetry.counter t.tel (sched_metric "cycles");
     }
   in
   t.parts <- part :: t.parts;
@@ -320,24 +332,30 @@ let introspect t : Telemetry.Snapshot.t =
   { Telemetry.Snapshot.parts }
 
 (* The flush of {!sweep_batch}: drops [k] consumed heads of every input
-   of [p], then pushes each output's pending slab.  A profile splits
-   the locked drop's cost evenly across the input channels. *)
+   of [p], then pushes each output's pending slab.  At the profile level
+   both are charged to [p]'s exchange time, the locked drop's cost split
+   evenly across the input channels. *)
 let flush t p pending ~k ~block ~abort =
   let ni = Array.length p.pt_ins in
   if ni > 0 && k > 0 then begin
     let n = p.pt_notif in
-    let t0 = if t.prof_on then Telemetry.Profile.now_ns t.prof else 0 in
+    let t0 = if t.timed then Telemetry.now_ns t.tel else 0 in
     Mutex.lock n.Channel.Notifier.n_mu;
     for i = 0 to ni - 1 do
-      Channel.Bqueue.drop_n_unlocked p.pt_ins.(i).ic_queue k;
-      Telemetry.add p.pt_ins.(i).ic_deq k
+      Channel.Bqueue.drop_n_unlocked p.pt_ins.(i).ic_queue k
     done;
     Channel.Notifier.bump n;
     Mutex.unlock n.Channel.Notifier.n_mu;
-    if t.prof_on then begin
-      let dt = Telemetry.Profile.now_ns t.prof - t0 in
-      Telemetry.Profile.add_exchange p.pt_prof dt;
-      Array.iter (fun ic -> Telemetry.Profile.add_deq ic.ic_prof ~tokens:k (dt / ni)) p.pt_ins
+    if t.tel_on then begin
+      let dt = if t.timed then Telemetry.now_ns t.tel - t0 else 0 in
+      Telemetry.add p.pt_exchange_ns dt;
+      for i = 0 to ni - 1 do
+        let ic = p.pt_ins.(i) in
+        Telemetry.add ic.ic_deq k;
+        Telemetry.incr ic.ic_drops;
+        Telemetry.set_max ic.ic_max_batch k;
+        Telemetry.add ic.ic_drop_ns (dt / ni)
+      done
     end
   end;
   for oi = 0 to Array.length p.pt_outs - 1 do
@@ -351,19 +369,18 @@ let flush t p pending ~k ~block ~abort =
         (fun (dp, di) ->
           let dst = t.frozen.(dp).pt_ins.(di) in
           let copies = List.map Array.copy toks in
-          if t.prof_on then begin
-            (* Enqueue cost lands on the destination channel and on the
-               executing partition's exchange slice. *)
-            let t0 = Telemetry.Profile.now_ns t.prof in
-            Channel.Bqueue.push_list dst.ic_queue copies ~block ~abort;
-            let dt = Telemetry.Profile.now_ns t.prof - t0 in
-            Telemetry.Profile.add_enq dst.ic_prof ~tokens:k dt;
-            Telemetry.Profile.add_exchange p.pt_prof dt
-          end
-          else Channel.Bqueue.push_list dst.ic_queue copies ~block ~abort;
+          let t0 = if t.timed then Telemetry.now_ns t.tel else 0 in
+          Channel.Bqueue.push_list dst.ic_queue copies ~block ~abort;
           ignore (Atomic.fetch_and_add t.token_transfers k);
           if t.tel_on then begin
+            (* Push cost lands on the destination channel and on the
+               executing partition's exchange time. *)
+            let dt = if t.timed then Telemetry.now_ns t.tel - t0 else 0 in
+            Telemetry.add dst.ic_push_ns dt;
+            Telemetry.add p.pt_exchange_ns dt;
             Telemetry.add dst.ic_enq k;
+            Telemetry.incr dst.ic_pushes;
+            Telemetry.set_max dst.ic_max_batch k;
             Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
           end)
         p.pt_outs.(oi).oc_dests
@@ -409,6 +426,7 @@ let flush t p pending ~k ~block ~abort =
     sound unchanged. *)
 let sweep_batch t p ~limit ~max_cycles ~block ~abort =
   freeze t;
+  let t_start = Telemetry.now_ns t.tel in
   let budget = min max_cycles (limit - p.pt_cycle) in
   let n = p.pt_notif in
   let ni = Array.length p.pt_ins in
@@ -478,8 +496,11 @@ let sweep_batch t p ~limit ~max_cycles ~block ~abort =
       continue_ := !advanced < budget
     end
   done;
-  if t.prof_on && !advanced > 0 then Telemetry.Profile.add_cycles p.pt_prof !advanced;
   flush t p pending ~k:(!advanced - !dropped) ~block ~abort;
+  if t.tel_on then begin
+    Telemetry.add p.pt_run_ns (Telemetry.now_ns t.tel - t_start);
+    Telemetry.add p.pt_cycles !advanced
+  end;
   (!advanced, !progress)
 
 (* ------------------------------------------------------------------ *)
@@ -565,44 +586,10 @@ let raise_deadlock t =
 (* Checkpoints and snapshots                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Captures the whole network's state — engine architectural state,
-    in-flight channel tokens, per-channel fired flags and target cycles.
-    The returned thunk rolls everything back, enabling re-execution from
-    a checkpoint (e.g. to bisect for the first bad cycle after a long
-    bug hunt). *)
-let checkpoint t =
-  freeze t;
-  let parts =
-    Array.map
-      (fun p ->
-        let queues =
-          Array.map
-            (fun ic -> List.map Array.copy (Channel.Bqueue.to_list ic.ic_queue))
-            p.pt_ins
-        in
-        let fired = Array.map (fun oc -> oc.oc_fired) p.pt_outs in
-        let restore_engine = p.pt_engine.Engine.checkpoint () in
-        (p, queues, fired, restore_engine, p.pt_cycle))
-      t.frozen
-  in
-  let transfers = Atomic.get t.token_transfers in
-  fun () ->
-    Array.iter
-      (fun (p, queues, fired, restore_engine, cycle) ->
-        restore_engine ();
-        Array.iteri
-          (fun i toks ->
-            Channel.Bqueue.set_contents p.pt_ins.(i).ic_queue (List.map Array.copy toks))
-          queues;
-        Array.iteri (fun i f -> p.pt_outs.(i).oc_fired <- f) fired;
-        p.pt_cycle <- cycle)
-      parts;
-    Atomic.set t.token_transfers transfers
-
-(* Serializable counterpart of {!checkpoint}: plain data (no closures),
-   so callers can write it to disk.  Engine architectural state is NOT
-   included — the runtime layer serializes each unit's simulator state
-   alongside. *)
+(* The network's plain-data state (no closures), so callers can write
+   it to disk; {!checkpoint} builds on it.  Engine architectural state
+   is NOT included — the runtime layer serializes each unit's simulator
+   state alongside. *)
 type snapshot = {
   sn_parts : (Channel.token list array * bool array * int) array;
       (** per partition: in-channel queues, out-channel fired flags,
@@ -643,3 +630,15 @@ let restore t sn =
       p.pt_cycle <- cycle)
     t.frozen;
   Atomic.set t.token_transfers sn.sn_transfers
+
+(** Captures the whole network's state — engine architectural state plus
+    a {!snapshot} of in-flight tokens, fired flags and target cycles.
+    The returned thunk rolls everything back (repeatably), enabling
+    re-execution from a checkpoint (e.g. to bisect for the first bad
+    cycle after a long bug hunt). *)
+let checkpoint t =
+  let sn = snapshot t in
+  let engines = Array.map (fun p -> p.pt_engine.Engine.checkpoint ()) t.frozen in
+  fun () ->
+    Array.iter (fun restore_engine -> restore_engine ()) engines;
+    restore t sn

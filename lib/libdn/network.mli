@@ -16,7 +16,11 @@ type in_chan = {
   ic_deq : Telemetry.counter;
   ic_peak : Telemetry.gauge;
   ic_stalled : Telemetry.counter;
-  ic_prof : Telemetry.Profile.chan;
+  ic_max_batch : Telemetry.gauge;
+  ic_pushes : Telemetry.counter;
+  ic_push_ns : Telemetry.counter;
+  ic_drops : Telemetry.counter;
+  ic_drop_ns : Telemetry.counter;
 }
 
 type out_chan = {
@@ -38,7 +42,9 @@ type partition = {
   pt_outs : out_chan array;
   mutable pt_cycle : int;
   mutable pt_drive : Engine.t -> int -> unit;
-  pt_prof : Telemetry.Profile.part;
+  pt_run_ns : Telemetry.counter;
+  pt_exchange_ns : Telemetry.counter;
+  pt_cycles : Telemetry.counter;
 }
 
 type t
@@ -49,21 +55,18 @@ exception Deadlock of string
     {!default_queue_capacity}); the parallel scheduler backpressures on
     a full queue, the sequential one treats it as a hard error.
     [telemetry] (default {!Telemetry.null}, free on the hot path) makes
-    every channel register per-channel counters and gauges. *)
-val create :
-  ?queue_capacity:int -> ?telemetry:Telemetry.t -> ?profile:Telemetry.Profile.t -> unit -> t
+    every channel register [net.<part>.in|out.<chan>.*] counters and
+    gauges and every partition its [sched.<part>.*] phase counters;
+    {!sweep_batch} charges its wall time to [run_ns] and, on a
+    profiling sink, its flushes to [exchange_ns] and the per-channel
+    [pushes]/[push_ns]/[drops]/[drop_ns]. *)
+val create : ?queue_capacity:int -> ?telemetry:Telemetry.t -> unit -> t
 
 val default_queue_capacity : int
 
 (** The sink the network records into ({!Telemetry.null} if none was
     given). *)
 val telemetry : t -> Telemetry.t
-
-(** The profile sink the network (and the schedulers running it)
-    record into ({!Telemetry.Profile.null} if none was given). *)
-val profile : t -> Telemetry.Profile.t
-
-val profile_enabled : t -> bool
 
 (** Declares a partition; [outs] pairs each output channel with the
     names of the input channels it combinationally depends on.  Returns
@@ -161,8 +164,9 @@ val add_deadlock_hook : t -> (Telemetry.Snapshot.t -> unit) -> unit
     in the message. *)
 val raise_deadlock : t -> 'a
 
-(** Captures the whole network (engine state, in-flight tokens, fired
-    flags, cycles); the returned thunk rolls everything back. *)
+(** Captures the whole network: engine checkpoints plus a {!snapshot}
+    (in-flight tokens, fired flags, cycles); the returned thunk rolls
+    everything back. *)
 val checkpoint : t -> unit -> unit
 
 (** Serializable counterpart of {!checkpoint}: plain data (per-partition

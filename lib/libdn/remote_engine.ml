@@ -51,14 +51,13 @@ type conn = {
       (** cone registrations (command line, id), newest first — replayed
           verbatim by {!reconnect} so baked-in cone ids stay valid *)
   c_tel_on : bool;  (** gates the clock reads around round trips *)
-  c_bytes_out : Telemetry.counter;  (** protocol bytes written (incl. newline) *)
+  c_bytes_out : Telemetry.counter;
+      (** protocol bytes written (incl. newline), every line *)
   c_bytes_in : Telemetry.counter;  (** reply bytes read (incl. newline) *)
   c_rtt : Telemetry.hist;  (** request/reply round-trip latency, µs *)
   c_profile : bool;
       (** worker spawned with profiling on (5th argv slot; replayed by
           {!reconnect}) *)
-  c_prof_on : bool;  (** gates the wire-cost clock reads *)
-  c_wire : Telemetry.Profile.wire;  (** round trips, bytes, wire ns *)
 }
 
 exception Worker_died of { label : string; last_command : string; status : string }
@@ -136,21 +135,14 @@ let send conn fmt = Printf.ksprintf (write_line conn) fmt
 let ask conn fmt =
   Printf.ksprintf
     (fun line ->
-      let timed = conn.c_tel_on || conn.c_prof_on in
-      let t0 = if timed then Unix.gettimeofday () else 0. in
+      let t0 = if conn.c_tel_on then Unix.gettimeofday () else 0. in
       write_line conn line;
       (try flush conn.c_out with Sys_error _ -> died conn);
       let reply = read_line conn in
-      if timed then begin
+      if conn.c_tel_on then begin
         let dt = Unix.gettimeofday () -. t0 in
-        if conn.c_tel_on then begin
-          Telemetry.observe conn.c_rtt (int_of_float (dt *. 1e6));
-          Telemetry.add conn.c_bytes_in (String.length reply + 1)
-        end;
-        Telemetry.Profile.add_wire conn.c_wire
-          ~bytes_out:(String.length line + 1)
-          ~bytes_in:(String.length reply + 1)
-          (int_of_float (dt *. 1e9))
+        Telemetry.observe conn.c_rtt (int_of_float (dt *. 1e6));
+        Telemetry.add conn.c_bytes_in (String.length reply + 1)
       end;
       reply)
     fmt
@@ -211,13 +203,13 @@ let await_ready conn =
 (** Spawns a worker process serving the circuit in [fir_path].  [label]
     names the partition in diagnostics when the worker dies.
     [read_timeout] bounds every reply wait (default: wait forever). *)
-let spawn ?(label = "unnamed") ?read_timeout ?(telemetry = Telemetry.null)
-    ?(profile = Telemetry.Profile.null) ?engine ?lanes ~worker ~fir_path () =
+let spawn ?(label = "unnamed") ?read_timeout ?(telemetry = Telemetry.null) ?engine
+    ?lanes ~worker ~fir_path () =
   (* A dead worker must surface as a {!Worker_died} diagnosis, not a
      fatal SIGPIPE when the parent next writes to the closed pipe. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let engine = Option.map Rtlsim.Sim.engine_name engine in
-  let profiled = Telemetry.Profile.enabled profile in
+  let profiled = Telemetry.profiling telemetry in
   let parent_read, out, pid =
     launch ~worker ~fir_path ~engine ~lanes ~profile:profiled
   in
@@ -240,8 +232,6 @@ let spawn ?(label = "unnamed") ?read_timeout ?(telemetry = Telemetry.null)
       c_bytes_in = Telemetry.counter telemetry (metric "bytes_in");
       c_rtt = Telemetry.hist telemetry (metric "rtt_us");
       c_profile = profiled;
-      c_prof_on = profiled;
-      c_wire = Telemetry.Profile.wire profile ~label;
     }
   in
   (* The worker announces itself once the circuit is loaded, so the

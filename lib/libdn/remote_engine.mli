@@ -18,8 +18,10 @@ exception Worker_died of { label : string; last_command : string; status : strin
     in seconds (default: wait forever); a wedged worker then surfaces
     as {!Worker_died} with the command in flight instead of hanging the
     simulation.  [telemetry] (default {!Telemetry.null}) records
-    [remote.<label>.bytes_out]/[.bytes_in] counters and a
-    [remote.<label>.rtt_us] round-trip latency histogram.  [engine]
+    [remote.<label>.bytes_out] (every protocol line)/[.bytes_in]
+    counters and a [remote.<label>.rtt_us] round-trip latency
+    histogram; a profiling sink also spawns the worker with its own
+    profile (see {!fetch_profile}).  [engine]
     selects the worker's evaluation engine (passed on its command line
     and replayed by {!reconnect}; the worker's own default otherwise).
     [lanes] sets the worker engine's lane count — N identical copies of
@@ -30,7 +32,6 @@ val spawn :
   ?label:string ->
   ?read_timeout:float ->
   ?telemetry:Telemetry.t ->
-  ?profile:Telemetry.Profile.t ->
   ?engine:Rtlsim.Sim.engine ->
   ?lanes:int ->
   worker:string ->
@@ -98,9 +99,7 @@ val load_state : conn -> string -> unit
 
 (** The worker's own profile document (the one-line JSON slice shipped
     back by the [profile] worker command); [None] when the worker was
-    not spawned with profiling enabled.  An enabled [?profile] at
-    {!spawn} also records wire cost per round trip (round-trip count,
-    request/reply bytes, wire ns) into the given sink. *)
+    not spawned on a profiling sink. *)
 val fetch_profile : conn -> Telemetry.Json.t option
 
 (** The remote unit as an ordinary LI-BDN engine. *)

@@ -108,12 +108,14 @@ let pack ~weights ~domains =
 
 (* Round-robin sweeps until every partition reaches [cycles].  With
    telemetry on, each visit that finds a partition unable to progress
-   books one stall on its blocking input channel. *)
+   books one stall on its blocking input channel, and the section's wall
+   time lands in [sched.wall_ns] (the sweeps charge their own). *)
 let run_seq ?(batch_cycles = default_batch_cycles) net ~cycles =
   let parts = Network.partitions net in
   let tel = Network.telemetry net in
   let on = Telemetry.enabled tel in
   let sweeps = Telemetry.counter tel "sched.seq.sweeps" in
+  let t_start = Telemetry.now_ns tel in
   let behind () = Array.exists (fun p -> p.Network.pt_cycle < cycles) parts in
   while behind () do
     Telemetry.incr sweeps;
@@ -135,7 +137,8 @@ let run_seq ?(batch_cycles = default_batch_cycles) net ~cycles =
       assert (Network.quiescent net ~target:cycles);
       Network.raise_deadlock net
     end
-  done
+  done;
+  Telemetry.add (Telemetry.counter tel "sched.wall_ns") (Telemetry.now_ns tel - t_start)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel                                                            *)
@@ -220,56 +223,40 @@ let par_fail net mon e =
   Mutex.unlock mon.m_mu;
   wake_all net
 
-(* Per-partition telemetry handles of a parallel worker.  Spans are
-   recorded only at park boundaries ("run" from segment start to park,
-   "stall" across each park, tagged with the blocking input channel), so
-   event counts are bounded by the number of stalls, not cycles.  Each
-   partition appends to its own track — registration is the only
-   synchronized step; appends happen from the owning domain, and export
-   only runs after the domains are joined. *)
+(* Per-partition idle-time handles of a parallel worker (the sweeps
+   charge run time themselves): spin/park/barrier counters and, when
+   tracing, the partition's track.  Spans are recorded only at park
+   boundaries ("run" from segment start to park, "stall" across each
+   park, tagged with the blocking input channel), so event counts are
+   bounded by the number of stalls, not cycles.  Each partition appends
+   to its own track — registration is the only synchronized step;
+   appends happen from the owning domain, and export only runs after
+   the domains are joined. *)
 type par_tel = {
-  w_clock : unit -> float;  (** µs on the trace collector's timeline *)
   w_track : Telemetry.Chrome_trace.track option;
-  w_run_ns : Telemetry.counter;
-  w_idle_ns : Telemetry.counter;
+  w_spin_ns : Telemetry.counter;
+  w_park_ns : Telemetry.counter;
+  w_barrier_ns : Telemetry.counter;
   w_spins : Telemetry.counter;
   w_parks : Telemetry.counter;
 }
 
-let par_tel net p =
-  let tel = Network.telemetry net in
+let par_tel tel p =
   let name = p.Network.pt_name in
-  let metric kind = Printf.sprintf "sched.par.%s.%s" name kind in
-  let w_track, w_clock =
-    match Telemetry.trace tel with
-    | Some tc ->
-      ( Some
-          (Telemetry.Chrome_trace.track tc ~pid:p.Network.pt_index ~tid:0
-             ~pname:("partition " ^ name) ~name:"domain" ()),
-        fun () -> Telemetry.Chrome_trace.now_us tc )
-    | None ->
-      ( None,
-        (* The barrier attribution after the joins also needs finish
-           stamps when only the profiler is live. *)
-        if Telemetry.enabled tel || Network.profile_enabled net then
-          fun () -> Telemetry.now_us tel
-        else fun () -> 0. )
-  in
+  let counter kind = Telemetry.counter tel (Printf.sprintf "sched.%s.%s" name kind) in
   {
-    w_clock;
-    w_track;
-    w_run_ns = Telemetry.counter tel (metric "run_ns");
-    w_idle_ns = Telemetry.counter tel (metric "idle_ns");
-    w_spins = Telemetry.counter tel (metric "spins");
-    w_parks = Telemetry.counter tel (metric "parks");
+    w_track =
+      Option.map
+        (fun tc ->
+          Telemetry.Chrome_trace.track tc ~pid:p.Network.pt_index ~tid:0
+            ~pname:("partition " ^ name) ~name:"domain" ())
+        (Telemetry.trace tel);
+    w_spin_ns = counter "spin_ns";
+    w_park_ns = counter "park_ns";
+    w_barrier_ns = counter "barrier_ns";
+    w_spins = counter "spins";
+    w_parks = counter "parks";
   }
-
-let ns_of_us us = int_of_float (us *. 1000.)
-
-let par_span w ~name ~args ~ts ~dur =
-  match w.w_track with
-  | Some tr when dur > 0. -> Telemetry.Chrome_trace.span tr ~name ~args ~ts ~dur ()
-  | _ -> ()
 
 (* Adaptive spin-then-park idle policy.  Parking costs a futex round
    trip plus a broadcast on the producer side — orders of magnitude more
@@ -327,19 +314,19 @@ let adapt_batch k ~cap ~advanced =
   end
 
 (* The one parallel worker: a domain running a placement GROUP of
-   partitions [ps] (a singleton under spread placement and under a live
-   profile).  It sweeps the members round-robin and idles on their
-   shared notifier only when a whole round made no progress.  The
-   domain's timeline — run/stall spans and ns counters, spins and parks,
-   and under a profile the run/spin/park phases — is charged to every
-   member, so a singleton's phases sum to its domain's wall time. *)
-let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~batch_cycles =
+   partitions [ps] (a singleton under spread placement and on a
+   profiling sink).  It sweeps the members round-robin and idles on
+   their shared notifier only when a whole round made no progress.  Each
+   sweep charges its own partition's run time; the domain's idle
+   time — spin and park, with the run/stall trace spans — is charged to
+   every member, so a singleton's phases sum to its domain's wall time.
+   All stamps come from the sink's one clock ({!Telemetry.now_ns}, 0
+   when disabled). *)
+let par_worker net mon ps ws ~cycles ~started ~finished ~slot ~spin ~batch_cycles =
   let abort () = Atomic.get mon.m_abort in
-  let on = Telemetry.enabled (Network.telemetry net) in
-  let prof = Network.profile net in
-  let pon = Network.profile_enabled net in
-  let ws = Array.map (par_tel net) ps in
-  let clock = ws.(0).w_clock in
+  let tel = Network.telemetry net in
+  let on = Telemetry.enabled tel in
+  let now () = Telemetry.now_ns tel in
   let notif = ps.(0).Network.pt_notif in
   let budget = ref spin_initial in
   let batch = Array.map (fun _ -> ref 1) ps in
@@ -360,96 +347,77 @@ let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~batch_cycles =
       ps;
     !progress
   in
-  let phase add dt = Array.iter (fun p -> add p.Network.pt_prof dt) ps in
-  let seg_start = ref (clock ()) in
-  if on || pon then started.(slot) <- !seg_start;
-  (* Closes the current "run" segment at [now] and charges it. *)
-  let end_run now =
-    let dur = now -. !seg_start in
-    Array.iter
-      (fun w ->
-        Telemetry.add w.w_run_ns (ns_of_us dur);
-        par_span w ~name:"run" ~args:[] ~ts:!seg_start ~dur)
+  let charge counter n = Array.iter (fun w -> Telemetry.add (counter w) n) ws in
+  let span name ~args ~t0 ~t1 =
+    Array.iteri
+      (fun i w ->
+        match w.w_track with
+        | Some tr when t1 > t0 ->
+          Telemetry.Chrome_trace.span tr ~name ~args:(args i)
+            ~ts:(float_of_int t0 /. 1e3)
+            ~dur:(float_of_int (t1 - t0) /. 1e3)
+            ()
+        | _ -> ())
       ws
   in
-  let park ~seen =
-    if not on then par_block net mon ~notif ~cycles ~seen
-    else begin
-      let t_park = clock () in
-      end_run t_park;
-      par_block net mon ~notif ~cycles ~seen;
-      let t_wake = clock () in
-      let dur = t_wake -. t_park in
-      Array.iteri
-        (fun i w ->
-          Telemetry.add w.w_idle_ns (ns_of_us dur);
-          let args =
-            match blocked.(i) with
-            | None -> []
-            | Some chan -> [ ("blocked_on", Telemetry.Json.String chan) ]
-          in
-          par_span w ~name:"stall" ~args ~ts:t_park ~dur)
-        ws;
-      seg_start := t_wake
-    end
-  in
-  (* One idle episode after a round without progress ([t0] is the
-     round's profile start, so a failed round counts as spin): each
-     unfinished member's stall is attributed to its blocking channel up
-     front, then the worker spins on the notifier version and finally
-     parks. *)
-  let idle ~seen ~t0 =
-    let stalled i = ps.(i).Network.pt_cycle < cycles in
+  let no_args _ = [] in
+  let seg_start = ref (now ()) in
+  started.(slot) <- !seg_start;
+  (* One idle episode after a round without progress: each unfinished
+     member's stall is attributed to its blocking channel up front, then
+     the worker spins on the notifier version and finally parks. *)
+  let idle ~seen =
+    let t0 = now () in
     if on then
-      Array.iteri (fun i p -> if stalled i then blocked.(i) <- Network.record_stall p) ps;
-    let charge counter =
-      Array.iteri (fun i w -> if stalled i then Telemetry.incr (counter w)) ws
-    in
-    if spin && spin_for notif ~seen ~abort ~budget:!budget then begin
-      if pon then phase Telemetry.Profile.add_spin (Telemetry.Profile.now_ns prof - t0);
-      charge (fun w -> w.w_spins);
+      Array.iteri
+        (fun i p -> if p.Network.pt_cycle < cycles then blocked.(i) <- Network.record_stall p)
+        ps;
+    let caught = spin && spin_for notif ~seen ~abort ~budget:!budget in
+    let t_park = now () in
+    charge (fun w -> w.w_spin_ns) (t_park - t0);
+    if caught then begin
+      charge (fun w -> w.w_spins) 1;
       budget := min spin_max (2 * !budget)
     end
     else begin
-      let tp = if pon then Telemetry.Profile.now_ns prof else 0 in
-      if pon then phase Telemetry.Profile.add_spin (tp - t0);
-      charge (fun w -> w.w_parks);
+      charge (fun w -> w.w_parks) 1;
       budget := max spin_min (!budget / 2);
-      park ~seen;
-      if pon then phase Telemetry.Profile.add_park (Telemetry.Profile.now_ns prof - tp)
+      par_block net mon ~notif ~cycles ~seen;
+      let t_wake = now () in
+      charge (fun w -> w.w_park_ns) (t_wake - t_park);
+      span "run" ~args:no_args ~t0:!seg_start ~t1:t_park;
+      span "stall" ~t0:t_park ~t1:t_wake ~args:(fun i ->
+          match blocked.(i) with
+          | None -> []
+          | Some chan -> [ ("blocked_on", Telemetry.Json.String chan) ]);
+      seg_start := t_wake
     end
   in
   (try
      while unfinished () && not (abort ()) do
        let seen = Channel.Notifier.version notif in
-       let t0 = if pon then Telemetry.Profile.now_ns prof else 0 in
-       if round () then begin
-         if pon then phase Telemetry.Profile.add_run (Telemetry.Profile.now_ns prof - t0)
-       end
-       else idle ~seen ~t0
+       if not (round ()) then idle ~seen
      done
    with e -> par_fail net mon e);
-  if on || pon then begin
-    let t_done = clock () in
-    if on then end_run t_done;
-    finished.(slot) <- t_done
-  end;
+  let t_done = now () in
+  span "run" ~args:no_args ~t0:!seg_start ~t1:t_done;
+  finished.(slot) <- t_done;
   par_exit net mon ~cycles
 
 (* Runs every unfinished partition to [cycles], one domain per placement
    group — or sequentially when the host cannot run domains
    concurrently. *)
 let run_par ?(batch_cycles = default_batch_cycles) net ~cycles =
-  (* A live profile forces the real-domain path: its per-partition
+  let tel = Network.telemetry net in
+  (* A profiling sink forces the real-domain path: its per-partition
      phases are the question a profiled run asks. *)
-  let profiled = Network.profile_enabled net in
+  let profiled = Telemetry.profiling tel in
   if host_domains () <= 1 && not profiled then run_seq net ~cycles ~batch_cycles
   else
   let parts = Network.partitions net in
   (* Unfinished partitions bucketed by placement slot: singletons when
-     no placement was applied, and always under a live profile (the
-     profiler's per-partition phase accounting assumes a dedicated
-     domain). *)
+     no placement was applied, and always on a profiling sink (the
+     per-partition phase accounting assumes a dedicated domain). *)
   let assign = Network.groups net in
   let buckets = Array.make (Array.length parts) [] in
   for i = Array.length parts - 1 downto 0 do
@@ -476,8 +444,9 @@ let run_par ?(batch_cycles = default_batch_cycles) net ~cycles =
         m_abort = Atomic.make false;
       }
     in
-    let started = Array.make nw 0. in
-    let finished = Array.make nw 0. in
+    let started = Array.make nw 0 in
+    let finished = Array.make nw 0 in
+    let wss = List.map (Array.map (par_tel tel)) groups in
     (* Spinning is only profitable when every worker domain can hold a
        hardware thread; oversubscribed, a spinner burns the core its
        producer needs to make the token it is waiting for.  Fused
@@ -488,45 +457,30 @@ let run_par ?(batch_cycles = default_batch_cycles) net ~cycles =
     let spin = profiled || host_domains () >= nw in
     let domains =
       List.mapi
-        (fun slot ps ->
+        (fun slot (ps, ws) ->
           Domain.spawn (fun () ->
-              par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~batch_cycles))
-        groups
+              par_worker net mon ps ws ~cycles ~started ~finished ~slot ~spin
+                ~batch_cycles))
+        (List.combine groups wss)
     in
     List.iter Domain.join domains;
-    (* Barrier-wait attribution: time each domain idled between its own
-       finish and the last domain's — computed here, after the joins, so
-       no cross-domain synchronization is needed while running. *)
-    let tel = Network.telemetry net in
-    if (Telemetry.enabled tel || profiled) && mon.m_error = None && not mon.m_dead
-    then begin
-      let last = Array.fold_left max 0. finished in
-      let first = Array.fold_left min infinity started in
+    (* Barrier-wait attribution, computed after the joins so no
+       cross-domain synchronization is needed while running: the time
+       each domain idled between its own finish and the last domain's,
+       plus a late start (the partition existed but had no CPU yet).
+       Every worker's phases then tile [first, last], the section wall. *)
+    if Telemetry.enabled tel && mon.m_error = None && not mon.m_dead then begin
+      let last = Array.fold_left max 0 finished in
+      let first = Array.fold_left min max_int started in
       List.iteri
-        (fun slot ps ->
+        (fun slot ws ->
           Array.iter
-            (fun p ->
-              let gap = ns_of_us (last -. finished.(slot)) in
-              if Telemetry.enabled tel then begin
-                let c =
-                  Telemetry.counter tel
-                    (Printf.sprintf "sched.par.%s.barrier_ns" p.Network.pt_name)
-                in
-                Telemetry.add c gap
-              end;
-              Telemetry.Profile.add_barrier p.Network.pt_prof gap;
-              (* A late domain start is also synchronization overhead:
-                 the partition existed but had no CPU yet.  Charged as
-                 barrier, so every worker's phases tile [first, last] —
-                 the span accumulated as the export's wall-clock
-                 denominator. *)
-              Telemetry.Profile.add_barrier p.Network.pt_prof
-                (ns_of_us (started.(slot) -. first)))
-            ps)
-        groups;
-      if profiled then
-        Telemetry.Profile.add_wall_ns (Network.profile net)
-          (ns_of_us (last -. first))
+            (fun w ->
+              Telemetry.add w.w_barrier_ns
+                (last - finished.(slot) + started.(slot) - first))
+            ws)
+        wss;
+      Telemetry.add (Telemetry.counter tel "sched.wall_ns") (last - first)
     end;
     (match mon.m_error with
     | Some e -> raise e

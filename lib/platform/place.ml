@@ -5,9 +5,9 @@
    park.
 
    Weight sources, in order of preference:
-   - the {!Telemetry.Profile} load model, when a profile from a previous
-     run is supplied and has recorded per-partition weights (measured
-     active ns beats any prediction);
+   - the {!Telemetry.Profile} load model, when a previous run's sink is
+     supplied and has recorded per-partition weights (measured active
+     ns beats any prediction);
    - the {!Resource} estimator otherwise: LUTs + FFs of each plan unit —
      the same static weight the fit advisor uses, monotone in the
      evaluation cost of the unit's logic.
@@ -38,11 +38,11 @@ let resource_weight (u : Fireripper.Plan.unit_part) =
   let e = Resource.estimate_unit u in
   max 1 (e.Resource.luts + e.Resource.ffs)
 
-(** One weight per plan unit, in unit order.  [profile]'s load model
-    wins for units it has rows for (keyed by unit name); the resource
-    estimator fills the rest. *)
-let weights ?(profile = Telemetry.Profile.null) (plan : Fireripper.Plan.t) =
-  let profiled = Telemetry.Profile.load_weights profile in
+(** One weight per plan unit, in unit order.  The load model of a prior
+    run's [telemetry] sink wins for units it has rows for (keyed by unit
+    name); the resource estimator fills the rest. *)
+let weights ?(telemetry = Telemetry.null) (plan : Fireripper.Plan.t) =
+  let profiled = Telemetry.Profile.load_weights telemetry in
   Array.map
     (fun (u : Fireripper.Plan.unit_part) ->
       match List.assoc_opt u.Fireripper.Plan.u_name profiled with
@@ -56,7 +56,7 @@ let weights ?(profile = Telemetry.Profile.null) (plan : Fireripper.Plan.t) =
     defaults to the host-domain count the parallel scheduler sizes
     itself to; Auto collapses to spread when there are at least as many
     domains as partitions (fusing would only serialize). *)
-let groups ?profile ?domains ~policy (plan : Fireripper.Plan.t) =
+let groups ?telemetry ?domains ~policy (plan : Fireripper.Plan.t) =
   match policy with
   | Spread -> None
   | Auto ->
@@ -67,4 +67,4 @@ let groups ?profile ?domains ~policy (plan : Fireripper.Plan.t) =
       | _ -> Libdn.Scheduler.host_domains ()
     in
     if d >= n || n = 0 then None
-    else Some (Libdn.Scheduler.pack ~weights:(weights ?profile plan) ~domains:d)
+    else Some (Libdn.Scheduler.pack ~weights:(weights ?telemetry plan) ~domains:d)

@@ -4,8 +4,8 @@
     the host has fewer domains than the plan has partitions.
 
     Weights come from the {!Telemetry.Profile} load model when a
-    profile from a previous run is supplied (measured active ns), else
-    from the {!Resource} estimator (LUTs + FFs per unit). *)
+    previous run's sink is supplied (measured active ns), else from the
+    {!Resource} estimator (LUTs + FFs per unit). *)
 
 type policy =
   | Spread  (** one domain per partition — the historical mapping *)
@@ -17,10 +17,10 @@ val accepted_names : string list
 val policy_of_string : string -> (policy, string) result
 val policy_name : policy -> string
 
-(** One weight per plan unit, in unit order: the profile's load-model
-    weight when available (keyed by unit name), else the resource
-    estimate. *)
-val weights : ?profile:Telemetry.Profile.t -> Fireripper.Plan.t -> int array
+(** One weight per plan unit, in unit order: the load-model weight of a
+    prior run's [telemetry] sink when available (keyed by unit name),
+    else the resource estimate. *)
+val weights : ?telemetry:Telemetry.t -> Fireripper.Plan.t -> int array
 
 (** The assignment for [plan] under [policy]: [None] = one domain per
     partition; [Some groups] fuses partitions sharing a slot onto one
@@ -28,7 +28,7 @@ val weights : ?profile:Telemetry.Profile.t -> Fireripper.Plan.t -> int array
     {!Libdn.Scheduler.host_domains}; [Auto] collapses to
     spread when domains >= partitions. *)
 val groups :
-  ?profile:Telemetry.Profile.t ->
+  ?telemetry:Telemetry.t ->
   ?domains:int ->
   policy:policy ->
   Fireripper.Plan.t ->

@@ -74,7 +74,7 @@ type t = {
           plumbing, introspection) *)
   reg_slots : int array;  (** per [Reg_update] (stmt order): its value slot *)
   wrapped : Telemetry.counter;  (** out-of-range memory write addresses *)
-  profile : Telemetry.Profile.t;
+  tel : Telemetry.t;
   plabel : string;  (** the unit name profile recorders are filed under *)
   eprof : Telemetry.Profile.engine;
   mutable cycle : int;
@@ -93,8 +93,8 @@ let slot t name =
   | Some i -> i
   | None -> sim_error "no such signal: %s" name
 
-let create ?(engine = default_engine) ?(telemetry = Telemetry.null)
-    ?(profile = Telemetry.Profile.null) ?label ?dce_roots ?(lanes = 1) flat =
+let create ?(engine = default_engine) ?(telemetry = Telemetry.null) ?label ?dce_roots
+    ?(lanes = 1) flat =
   if lanes < 1 then sim_error "create: need at least one lane, got %d" lanes;
   let plabel = match label with Some l -> l | None -> flat.Ast.name in
   (* Build the analysis of the module as given first: comb-cycle and
@@ -234,10 +234,10 @@ let create ?(engine = default_engine) ?(telemetry = Telemetry.null)
       reg_slots;
       reg_inits;
       wrapped;
-      profile;
+      tel = telemetry;
       plabel;
       eprof =
-        Telemetry.Profile.engine profile ~label:plabel ~kind:Bytecode.name ~lanes
+        Telemetry.Profile.engine telemetry ~label:plabel ~kind:Bytecode.name ~lanes
           ~comb_hist:(Bytecode.comb_class_hist bc)
           ~seq_hist:(Bytecode.seq_class_hist bc);
       cycle = 0;
@@ -268,24 +268,19 @@ let create ?(engine = default_engine) ?(telemetry = Telemetry.null)
       reg_slots;
       reg_inits;
       wrapped;
-      profile;
+      tel = telemetry;
       plabel;
       eprof =
-        Telemetry.Profile.engine profile ~label:plabel ~kind:Closure.name ~lanes
+        Telemetry.Profile.engine telemetry ~label:plabel ~kind:Closure.name ~lanes
           ~comb_hist:(Closure.comb_class_hist cl)
           ~seq_hist:(Closure.seq_class_hist cl);
       cycle = 0;
     }
 
-let of_circuit ?engine ?telemetry ?profile ?label ?dce_roots ?lanes circuit =
-  create ?engine ?telemetry ?profile ?label ?dce_roots ?lanes (Flatten.flatten circuit)
+let of_circuit ?engine ?telemetry ?label ?dce_roots ?lanes circuit =
+  create ?engine ?telemetry ?label ?dce_roots ?lanes (Flatten.flatten circuit)
 
 let cycle t = t.cycle
-
-(* The profile sink this simulator records into ([Profile.null] if none
-   was given) and the label its recorders are filed under. *)
-let profile t = t.profile
-let profile_label t = t.plabel
 
 (* Program facts of the compiled bytecode program, when that engine is
    underneath (compiler introspection; [None] for the closure engine). *)
@@ -314,9 +309,9 @@ let get ?(lane = 0) t name = (lane_vals t lane).(slot t name)
     timed; disabled, the cost is one predicted branch. *)
 let eval_comb t =
   if Telemetry.Profile.engine_enabled t.eprof then begin
-    let t0 = Telemetry.Profile.now_ns t.profile in
+    let t0 = Telemetry.now_ns t.tel in
     Engine.eval_comb_all t.exec;
-    Telemetry.Profile.add_comb t.eprof (Telemetry.Profile.now_ns t.profile - t0)
+    Telemetry.Profile.add_comb t.eprof (Telemetry.now_ns t.tel - t0)
   end
   else Engine.eval_comb_all t.exec
 
@@ -343,9 +338,9 @@ let eval_comb_fixpoint t =
     FAME-5 hardware transform make that race universal). *)
 let step_seq t =
   if Telemetry.Profile.engine_enabled t.eprof then begin
-    let t0 = Telemetry.Profile.now_ns t.profile in
+    let t0 = Telemetry.now_ns t.tel in
     Engine.stage_and_commit_all t.exec;
-    Telemetry.Profile.add_seq t.eprof (Telemetry.Profile.now_ns t.profile - t0)
+    Telemetry.Profile.add_seq t.eprof (Telemetry.now_ns t.tel - t0)
   end
   else Engine.stage_and_commit_all t.exec;
   t.cycle <- t.cycle + 1
@@ -363,19 +358,19 @@ let make_cone_eval ?(lane = 0) t roots =
   check_lane t lane;
   let order = Analysis.cone t.analysis roots in
   let eval = Engine.make_cone t.exec ~lane order in
-  (* The timing wrapper only exists when this profile is live: the
-     disabled path hands back the engine's raw closure untouched. *)
-  if not (Telemetry.Profile.enabled t.profile) then eval
+  (* The timing wrapper only exists on a profiling sink: otherwise the
+     engine's raw closure is handed back untouched. *)
+  if not (Telemetry.profiling t.tel) then eval
   else begin
     let instrs, hist = Engine.cone_profile t.exec order in
     let cn =
-      Telemetry.Profile.cone t.profile ~label:t.plabel
-        ~name:(String.concat "," roots) ~instrs ~hist
+      Telemetry.Profile.cone t.tel ~label:t.plabel ~name:(String.concat "," roots)
+        ~instrs ~hist
     in
     fun () ->
-      let t0 = Telemetry.Profile.now_ns t.profile in
+      let t0 = Telemetry.now_ns t.tel in
       eval ();
-      Telemetry.Profile.add_cone_eval cn (Telemetry.Profile.now_ns t.profile - t0)
+      Telemetry.Profile.add_cone_eval cn (Telemetry.now_ns t.tel - t0)
   end
 
 (* ------------------------------------------------------------------ *)

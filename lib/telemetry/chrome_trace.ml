@@ -30,7 +30,7 @@ type t = {
   tc_t0 : float;  (** wall-clock origin of all timestamps *)
 }
 
-let create () = { tc_mu = Mutex.create (); tc_tracks = []; tc_t0 = Unix.gettimeofday () }
+let create ?(t0 = Unix.gettimeofday ()) () = { tc_mu = Mutex.create (); tc_tracks = []; tc_t0 = t0 }
 
 (** Microseconds since the collector was created — the [ts] domain of
     every event. *)

@@ -22,7 +22,8 @@ type track = {
 
 type t
 
-val create : unit -> t
+(** [t0] (default: now) is the wall-clock origin of every timestamp. *)
+val create : ?t0:float -> unit -> t
 
 (** Microseconds since {!create} — the [ts] domain of every event. *)
 val now_us : t -> float

@@ -1,131 +1,30 @@
-(* Hot-path profiling sink: attributes wall time and retired work at
-   three granularities — engine (per-opcode-class instruction counts,
-   per-cone eval time), scheduler (run / token-exchange / spin / park /
-   barrier per partition), and network (per-channel enqueue/dequeue
-   cost, remote wire cost) — and folds the static per-cone weights into
-   a partition load model.
+(* The [fireaxe-profile-1] export of a profiling sink: wall time and
+   retired work attributed at three granularities, plus the partition
+   load model distilled from them.
 
-   The disabled path follows the [Telemetry.null] discipline: every
-   recorder carries its own [on] flag captured at registration, so a
-   disabled profile costs exactly one predictable branch per record
-   call and never allocates.  Registration happens at build time (sim
-   creation, network construction), never in the per-cycle loop. *)
+   - engine: per-opcode-class retired-instruction counts and per-cone
+     eval time, recorded by the engine and cone recorders below (only
+     registered at the sink's profile level);
+   - scheduler: per-partition run / exchange / spin / park / barrier
+     time, read from the sink's [sched.<part>.*] counters;
+   - network: per-channel push/drop cost and batch sizes from
+     [net.<part>.in.<chan>.*], remote-worker wire cost from
+     [remote.<label>.*].
 
-type engine = {
-  e_on : bool;
-  e_label : string;
-  e_kind : string;
-  e_lanes : int;
-  e_comb_hist : (string * int) list;  (* opcode class -> instrs per comb pass *)
-  e_seq_hist : (string * int) list;   (* opcode class -> instrs per seq step *)
-  e_comb_passes : int Atomic.t;
-  e_comb_ns : int Atomic.t;
-  e_seq_passes : int Atomic.t;
-  e_seq_ns : int Atomic.t;
-}
+   Every quantity is recorded once, by the layer that owns it, into the
+   one sink; this module only reads it back. *)
 
-type cone = {
-  cn_on : bool;
-  cn_label : string;  (* owning unit/partition *)
-  cn_name : string;   (* root signal(s) of the cone *)
-  cn_instrs : int;    (* static work per eval *)
-  cn_hist : (string * int) list;
-  cn_evals : int Atomic.t;
-  cn_ns : int Atomic.t;
-}
+open Sink
 
-type part = {
-  pp_on : bool;
-  pp_name : string;
-  pp_index : int;
-  pp_cycles : int Atomic.t;
-  pp_run_ns : int Atomic.t;      (* active sweeps, token exchange included *)
-  pp_exchange_ns : int Atomic.t; (* enq+deq slice of run, carved out at export *)
-  pp_spins : int Atomic.t;
-  pp_spin_ns : int Atomic.t;
-  pp_parks : int Atomic.t;
-  pp_park_ns : int Atomic.t;
-  pp_barrier_ns : int Atomic.t;
-}
+(* -- engine and cone recorders -------------------------------------- *)
 
-type chan = {
-  ch_on : bool;
-  ch_part : string;  (* consuming partition: the channel's home *)
-  ch_name : string;
-  ch_enqs : int Atomic.t;
-  ch_enq_tokens : int Atomic.t;
-  ch_enq_ns : int Atomic.t;
-  ch_deqs : int Atomic.t;
-  ch_deq_tokens : int Atomic.t;
-  ch_deq_ns : int Atomic.t;
-  ch_max_batch : int Atomic.t;
-}
-
-type wire = {
-  wr_on : bool;
-  wr_label : string;
-  wr_round_trips : int Atomic.t;
-  wr_bytes_out : int Atomic.t;
-  wr_bytes_in : int Atomic.t;
-  wr_ns : int Atomic.t;
-}
-
-type t = {
-  enabled : bool;
-  t0 : float;
-  mu : Mutex.t;
-  mutable engines : engine list;  (* all registries newest-first *)
-  mutable cones : cone list;
-  mutable parts : part list;
-  mutable chans : chan list;
-  mutable wires : wire list;
-  mutable slices : (string * Json.t) list;  (* remote workers' profiles *)
-  mutable wall_ns : int option;
-  acc_wall : int Atomic.t;
-      (* scheduler-accumulated parallel-section wall time; the export
-         denominator when no explicit wall was pinned *)
-}
-
-let make ~enabled =
-  {
-    enabled;
-    t0 = Unix.gettimeofday ();
-    mu = Mutex.create ();
-    engines = [];
-    cones = [];
-    parts = [];
-    chans = [];
-    wires = [];
-    slices = [];
-    wall_ns = None;
-    acc_wall = Atomic.make 0;
-  }
-
-let null = make ~enabled:false
-let create () = make ~enabled:true
-let enabled t = t.enabled
-
-(* Monotonic-enough nanosecond clock relative to the profile's birth.
-   gettimeofday keeps the disabled/enabled code identical to the rest
-   of the telemetry layer (same syscall, same resolution). *)
-let now_ns t =
-  if t.enabled then int_of_float ((Unix.gettimeofday () -. t.t0) *. 1e9) else 0
-
-let set_wall_ns t ns = if t.enabled then t.wall_ns <- Some ns
-
-let add_wall_ns t ns =
-  if t.enabled then ignore (Atomic.fetch_and_add t.acc_wall ns)
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-(* -- registration (build-time; thread-safe, never hot) ------------- *)
+type engine = Sink.engine
+type cone = Sink.cone
 
 let engine t ~label ~kind ~lanes ~comb_hist ~seq_hist =
   let e =
     {
-      e_on = t.enabled;
+      e_on = t.profiling;
       e_label = label;
       e_kind = kind;
       e_lanes = lanes;
@@ -137,13 +36,13 @@ let engine t ~label ~kind ~lanes ~comb_hist ~seq_hist =
       e_seq_ns = Atomic.make 0;
     }
   in
-  if t.enabled then locked t (fun () -> t.engines <- e :: t.engines);
+  if t.profiling then locked t (fun () -> t.t_engines <- e :: t.t_engines);
   e
 
 let cone t ~label ~name ~instrs ~hist =
   let c =
     {
-      cn_on = t.enabled;
+      cn_on = t.profiling;
       cn_label = label;
       cn_name = name;
       cn_instrs = instrs;
@@ -152,75 +51,16 @@ let cone t ~label ~name ~instrs ~hist =
       cn_ns = Atomic.make 0;
     }
   in
-  if t.enabled then locked t (fun () -> t.cones <- c :: t.cones);
+  if t.profiling then locked t (fun () -> t.t_cones <- c :: t.t_cones);
   c
-
-let part t ~name ~index =
-  let fresh () =
-    {
-      pp_on = t.enabled;
-      pp_name = name;
-      pp_index = index;
-      pp_cycles = Atomic.make 0;
-      pp_run_ns = Atomic.make 0;
-      pp_exchange_ns = Atomic.make 0;
-      pp_spins = Atomic.make 0;
-      pp_spin_ns = Atomic.make 0;
-      pp_parks = Atomic.make 0;
-      pp_park_ns = Atomic.make 0;
-      pp_barrier_ns = Atomic.make 0;
-    }
-  in
-  if not t.enabled then fresh ()
-  else
-    locked t (fun () ->
-        match List.find_opt (fun p -> p.pp_name = name) t.parts with
-        | Some p -> p
-        | None ->
-          let p = fresh () in
-          t.parts <- p :: t.parts;
-          p)
-
-let channel t ~part ~name =
-  let c =
-    {
-      ch_on = t.enabled;
-      ch_part = part;
-      ch_name = name;
-      ch_enqs = Atomic.make 0;
-      ch_enq_tokens = Atomic.make 0;
-      ch_enq_ns = Atomic.make 0;
-      ch_deqs = Atomic.make 0;
-      ch_deq_tokens = Atomic.make 0;
-      ch_deq_ns = Atomic.make 0;
-      ch_max_batch = Atomic.make 0;
-    }
-  in
-  if t.enabled then locked t (fun () -> t.chans <- c :: t.chans);
-  c
-
-let wire t ~label =
-  let w =
-    {
-      wr_on = t.enabled;
-      wr_label = label;
-      wr_round_trips = Atomic.make 0;
-      wr_bytes_out = Atomic.make 0;
-      wr_bytes_in = Atomic.make 0;
-      wr_ns = Atomic.make 0;
-    }
-  in
-  if t.enabled then locked t (fun () -> t.wires <- w :: t.wires);
-  w
 
 let add_slice t ~label json =
-  if t.enabled then locked t (fun () -> t.slices <- (label, json) :: t.slices)
-
-(* -- recording (hot; one branch when disabled) --------------------- *)
+  if t.profiling then locked t (fun () -> t.t_slices <- (label, json) :: t.t_slices)
 
 let bump a n = ignore (Atomic.fetch_and_add a n)
 
 let engine_enabled e = e.e_on
+
 let add_comb e ns =
   if e.e_on then begin
     bump e.e_comb_passes 1;
@@ -233,69 +73,118 @@ let add_seq e ns =
     bump e.e_seq_ns ns
   end
 
-let cone_enabled c = c.cn_on
 let add_cone_eval c ns =
   if c.cn_on then begin
     bump c.cn_evals 1;
     bump c.cn_ns ns
   end
 
-let part_enabled p = p.pp_on
-let add_run p ns = if p.pp_on then bump p.pp_run_ns ns
-let add_exchange p ns = if p.pp_on then bump p.pp_exchange_ns ns
-let add_spin p ns =
-  if p.pp_on then begin
-    bump p.pp_spins 1;
-    bump p.pp_spin_ns ns
-  end
+(* -- reading the sink back ------------------------------------------ *)
 
-let add_park p ns =
-  if p.pp_on then begin
-    bump p.pp_parks 1;
-    bump p.pp_park_ns ns
-  end
+(* A partition, channel or wire row: its identifying strings and its
+   integer fields, both in document order. *)
+type row = { ids : (string * string) list; ints : (string * int) list }
 
-let add_barrier p ns = if p.pp_on then bump p.pp_barrier_ns ns
-let add_cycles p n = if p.pp_on then bump p.pp_cycles n
+let get r k = List.assoc k r.ints
+let id r k = List.assoc k r.ids
 
-let chan_enabled c = c.ch_on
+(* The middle of [s] when it carries both [prefix] and [suffix]. *)
+let strip ~prefix ~suffix s =
+  let lp = String.length prefix and ls = String.length suffix in
+  let n = String.length s in
+  if n > lp + ls && String.starts_with ~prefix s && String.ends_with ~suffix s then
+    Some (String.sub s lp (n - lp - ls))
+  else None
 
-let max_to a n =
-  let rec go () =
-    let cur = Atomic.get a in
-    if n > cur && not (Atomic.compare_and_set a cur n) then go ()
+(* Everything the export reads, captured once. *)
+type view = {
+  engines : engine list;
+  cones : cone list;
+  slices : (string * Json.t) list;
+  parts : row list;
+  chans : row list;
+  wires : row list;
+  wall : int;
+}
+
+let view t =
+  let counters = counters t and gauges = gauges t in
+  let tbl = Hashtbl.of_seq (List.to_seq (counters @ gauges)) in
+  let value k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+  let names ~prefix ~suffix =
+    List.filter_map (fun (k, _) -> strip ~prefix ~suffix k) counters
   in
-  go ()
+  (* Partitions register [sched.<p>.run_ns] at network construction;
+     the sweep records run (exchange included) and exchange, the
+     parallel worker spin, park and barrier. *)
+  let parts =
+    List.mapi
+      (fun index name ->
+        let c kind = value (Printf.sprintf "sched.%s.%s" name kind) in
+        let run = max 0 (c "run_ns" - c "exchange_ns") in
+        let phases =
+          [ ("run_ns", run); ("exchange_ns", c "exchange_ns"); ("spin_ns", c "spin_ns");
+            ("park_ns", c "park_ns"); ("barrier_ns", c "barrier_ns") ]
+        in
+        {
+          ids = [ ("name", name) ];
+          ints =
+            (("index", index) :: ("cycles", c "cycles") :: phases)
+            @ [ ("total_ns", List.fold_left (fun a (_, v) -> a + v) 0 phases);
+                ("spins", c "spins"); ("parks", c "parks") ];
+        })
+      (names ~prefix:"sched." ~suffix:".run_ns")
+  in
+  let chans =
+    List.concat_map
+      (fun p ->
+        let part = id p "name" in
+        List.map
+          (fun name ->
+            let c kind = value (Printf.sprintf "net.%s.in.%s.%s" part name kind) in
+            {
+              ids = [ ("part", part); ("name", name) ];
+              ints =
+                [ ("enqs", c "pushes"); ("enq_tokens", c "enq"); ("enq_ns", c "push_ns");
+                  ("deqs", c "drops"); ("deq_tokens", c "deq"); ("deq_ns", c "drop_ns");
+                  ("max_batch", c "max_batch") ];
+            })
+          (names ~prefix:(Printf.sprintf "net.%s.in." part) ~suffix:".enq"))
+      parts
+  in
+  (* Every protocol line counts toward [bytes_out]; replies toward
+     [bytes_in] and the round-trip histogram (whole microseconds). *)
+  let wires =
+    List.map
+      (fun label ->
+        let c kind = value (Printf.sprintf "remote.%s.%s" label kind) in
+        let trips, rtt_us = hist_totals t (Printf.sprintf "remote.%s.rtt_us" label) in
+        {
+          ids = [ ("label", label) ];
+          ints =
+            [ ("round_trips", trips); ("bytes_out", c "bytes_out");
+              ("bytes_in", c "bytes_in"); ("ns", int_of_float (rtt_us *. 1e3)) ];
+        })
+      (names ~prefix:"remote." ~suffix:".bytes_out")
+  in
+  let engines, cones, slices =
+    locked t (fun () -> (List.rev t.t_engines, List.rev t.t_cones, List.rev t.t_slices))
+  in
+  (* Denominator: the schedulers' accumulated section wall, else the
+     sink's age (engine-only profiles). *)
+  let wall = match value "sched.wall_ns" with 0 -> now_ns t | w -> w in
+  { engines; cones; slices; parts; chans; wires; wall }
 
-let add_enq c ~tokens ns =
-  if c.ch_on then begin
-    bump c.ch_enqs 1;
-    bump c.ch_enq_tokens tokens;
-    bump c.ch_enq_ns ns;
-    max_to c.ch_max_batch tokens
-  end
-
-let add_deq c ~tokens ns =
-  if c.ch_on then begin
-    bump c.ch_deqs 1;
-    bump c.ch_deq_tokens tokens;
-    bump c.ch_deq_ns ns;
-    max_to c.ch_max_batch tokens
-  end
-
-let add_wire w ~bytes_out ~bytes_in ns =
-  if w.wr_on then begin
-    bump w.wr_round_trips 1;
-    bump w.wr_bytes_out bytes_out;
-    bump w.wr_bytes_in bytes_in;
-    bump w.wr_ns ns
-  end
-
-(* -- export -------------------------------------------------------- *)
+(* -- export --------------------------------------------------------- *)
 
 let hist_json h = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) h)
 let hist_total h = List.fold_left (fun a (_, v) -> a + v) 0 h
 let scale_hist h k = List.map (fun (c, v) -> (c, v * k)) h
+
+let row_json r =
+  Json.Obj
+    (List.map (fun (k, s) -> (k, Json.String s)) r.ids
+    @ List.map (fun (k, v) -> (k, Json.Int v)) r.ints)
 
 let merge_hists hs =
   let tbl = Hashtbl.create 16 in
@@ -337,64 +226,12 @@ let cone_json c =
       ("classes", hist_json c.cn_hist);
     ]
 
-let part_totals p =
-  let run = Atomic.get p.pp_run_ns and ex = Atomic.get p.pp_exchange_ns in
-  (* Exchange happens inside run segments; carve it out so the four
-     components partition the active time. *)
-  let run = max 0 (run - ex) in
-  ( run,
-    ex,
-    Atomic.get p.pp_spin_ns,
-    Atomic.get p.pp_park_ns,
-    Atomic.get p.pp_barrier_ns )
-
-let part_json p =
-  let run, ex, spin, park, barrier = part_totals p in
-  Json.Obj
-    [
-      ("name", Json.String p.pp_name);
-      ("index", Json.Int p.pp_index);
-      ("cycles", Json.Int (Atomic.get p.pp_cycles));
-      ("run_ns", Json.Int run);
-      ("exchange_ns", Json.Int ex);
-      ("spin_ns", Json.Int spin);
-      ("park_ns", Json.Int park);
-      ("barrier_ns", Json.Int barrier);
-      ("total_ns", Json.Int (run + ex + spin + park + barrier));
-      ("spins", Json.Int (Atomic.get p.pp_spins));
-      ("parks", Json.Int (Atomic.get p.pp_parks));
-    ]
-
-let chan_total_ns c = Atomic.get c.ch_enq_ns + Atomic.get c.ch_deq_ns
-
-let chan_json c =
-  Json.Obj
-    [
-      ("part", Json.String c.ch_part);
-      ("name", Json.String c.ch_name);
-      ("enqs", Json.Int (Atomic.get c.ch_enqs));
-      ("enq_tokens", Json.Int (Atomic.get c.ch_enq_tokens));
-      ("enq_ns", Json.Int (Atomic.get c.ch_enq_ns));
-      ("deqs", Json.Int (Atomic.get c.ch_deqs));
-      ("deq_tokens", Json.Int (Atomic.get c.ch_deq_tokens));
-      ("deq_ns", Json.Int (Atomic.get c.ch_deq_ns));
-      ("max_batch", Json.Int (Atomic.get c.ch_max_batch));
-    ]
-
-let wire_json w =
-  Json.Obj
-    [
-      ("label", Json.String w.wr_label);
-      ("round_trips", Json.Int (Atomic.get w.wr_round_trips));
-      ("bytes_out", Json.Int (Atomic.get w.wr_bytes_out));
-      ("bytes_in", Json.Int (Atomic.get w.wr_bytes_in));
-      ("ns", Json.Int (Atomic.get w.wr_ns));
-    ]
+let chan_total_ns c = get c "enq_ns" + get c "deq_ns"
 
 (* Retired-instruction totals: the bytecode programs are straight-line
    (no control flow), so retired = static histogram x executions — the
    hot loop only has to count passes. *)
-let retired_classes t =
+let retired_classes v =
   let per_engine =
     List.map
       (fun e ->
@@ -403,10 +240,10 @@ let retired_classes t =
             scale_hist e.e_comb_hist (Atomic.get e.e_comb_passes * e.e_lanes);
             scale_hist e.e_seq_hist (Atomic.get e.e_seq_passes * e.e_lanes);
           ])
-      t.engines
+      v.engines
   in
   let per_cone =
-    List.map (fun c -> scale_hist c.cn_hist (Atomic.get c.cn_evals)) t.cones
+    List.map (fun c -> scale_hist c.cn_hist (Atomic.get c.cn_evals)) v.cones
   in
   merge_hists (per_engine @ per_cone)
 
@@ -435,45 +272,41 @@ let imbalance xs =
     if mean <= 0. then 1.
     else List.fold_left (fun a x -> Float.max a x) 0. xs /. mean
 
-(* One load-model row per label seen on engines/cones/partitions.
+(* One load-model row per label seen on partitions/engines/cones.
    Predicted weight: static instructions retired per target cycle (one
    comb pass + one seq step + one eval of every registered cone).
-   Measured weight: the partition's active ns when the scheduler
-   recorded it, else the unit's summed engine+cone ns. *)
-let load_model t =
+   Measured weight: the partition's active ns (run + exchange + spin)
+   when the schedulers recorded it, else the unit's summed engine+cone
+   ns. *)
+let load_model v =
   let labels = ref [] in
   let remember l = if not (List.mem l !labels) then labels := l :: !labels in
-  List.iter (fun p -> remember p.pp_name) t.parts;
-  List.iter (fun e -> remember e.e_label) t.engines;
-  List.iter (fun c -> remember c.cn_label) t.cones;
+  List.iter (fun p -> remember (id p "name")) v.parts;
+  List.iter (fun e -> remember e.e_label) v.engines;
+  List.iter (fun c -> remember c.cn_label) v.cones;
   let labels = List.rev !labels in
+  let sum_over f = List.fold_left (fun a x -> a + f x) 0 in
   let predicted_of l =
-    List.fold_left
-      (fun a e ->
-        if e.e_label = l then a + hist_total e.e_comb_hist + hist_total e.e_seq_hist
-        else a)
-      0 t.engines
-    + List.fold_left
-        (fun a c -> if c.cn_label = l then a + c.cn_instrs else a)
-        0 t.cones
+    sum_over
+      (fun e ->
+        if e.e_label = l then hist_total e.e_comb_hist + hist_total e.e_seq_hist else 0)
+      v.engines
+    + sum_over (fun c -> if c.cn_label = l then c.cn_instrs else 0) v.cones
   in
   let engine_cone_ns l =
-    List.fold_left
-      (fun a e ->
-        if e.e_label = l then a + Atomic.get e.e_comb_ns + Atomic.get e.e_seq_ns
-        else a)
-      0 t.engines
-    + List.fold_left
-        (fun a c -> if c.cn_label = l then a + Atomic.get c.cn_ns else a)
-        0 t.cones
+    sum_over
+      (fun e ->
+        if e.e_label = l then Atomic.get e.e_comb_ns + Atomic.get e.e_seq_ns else 0)
+      v.engines
+    + sum_over (fun c -> if c.cn_label = l then Atomic.get c.cn_ns else 0) v.cones
   in
   let measured_of l =
-    match List.find_opt (fun p -> p.pp_name = l) t.parts with
-    | Some p ->
-      let run, ex, spin, _, _ = part_totals p in
-      let active = run + ex + spin in
-      if active > 0 then active else engine_cone_ns l
-    | None -> engine_cone_ns l
+    let active =
+      match List.find_opt (fun p -> id p "name" = l) v.parts with
+      | Some p -> get p "run_ns" + get p "exchange_ns" + get p "spin_ns"
+      | None -> 0
+    in
+    if active > 0 then active else engine_cone_ns l
   in
   let predicted = List.map predicted_of labels in
   let measured = List.map measured_of labels in
@@ -495,35 +328,28 @@ let load_model t =
    imbalance (List.map float_of_int measured))
 
 (* Per-label placement weights distilled from the load model: the
-   measured active time when this profile has recorded any (a previous
+   measured active time when this sink has recorded any (a previous
    run's truth beats any static prediction), else the predicted static
    weight (instrs per target cycle).  Feeds the placement pass that
    bin-packs partitions onto host domains. *)
 let load_weights t =
-  let rows, _, _ = locked t (fun () -> load_model t) in
+  let rows, _, _ = load_model (view t) in
   let any_measured = List.exists (fun r -> r.m_measured_ns > 0) rows in
   List.map
     (fun r ->
       (r.m_name, if any_measured then r.m_measured_ns else r.m_predicted))
     rows
 
-let top_k k cmp xs =
-  let sorted = List.stable_sort cmp xs in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  take k sorted
+let top_k k cmp xs = List.filteri (fun i _ -> i < k) (List.stable_sort cmp xs)
 
-let top_cones ?(k = 10) t =
-  top_k k (fun a b -> compare (Atomic.get b.cn_ns) (Atomic.get a.cn_ns)) t.cones
+let top_cones v =
+  top_k 10 (fun a b -> compare (Atomic.get b.cn_ns) (Atomic.get a.cn_ns)) v.cones
 
-let top_channels ?(k = 10) t =
-  top_k k (fun a b -> compare (chan_total_ns b) (chan_total_ns a)) t.chans
+let top_channels v =
+  top_k 10 (fun a b -> compare (chan_total_ns b) (chan_total_ns a)) v.chans
 
-let load_model_json t =
-  let rows, pred_imb, meas_imb = load_model t in
+let load_model_json v =
+  let rows, pred_imb, meas_imb = load_model v in
   Json.Obj
     [
       ( "partitions",
@@ -552,108 +378,85 @@ let load_model_json t =
                    ("instrs", Json.Int c.cn_instrs);
                    ("ns", Json.Int (Atomic.get c.cn_ns));
                  ])
-             (top_cones t)) );
+             (top_cones v)) );
       ( "top_channels",
         Json.List
           (List.map
              (fun c ->
-               Json.Obj
-                 [
-                   ("part", Json.String c.ch_part);
-                   ("name", Json.String c.ch_name);
-                   ("ns", Json.Int (chan_total_ns c));
-                   ("tokens",
-                    Json.Int (Atomic.get c.ch_enq_tokens + Atomic.get c.ch_deq_tokens));
-                 ])
-             (top_channels t)) );
+               row_json
+                 {
+                   c with
+                   ints =
+                     [ ("ns", chan_total_ns c);
+                       ("tokens", get c "enq_tokens" + get c "deq_tokens") ];
+                 })
+             (top_channels v)) );
     ]
 
-(* Export denominator: an explicitly pinned wall wins; otherwise the
-   scheduler-accumulated parallel-section time; otherwise the profile's
-   age (single-process engine-only profiles). *)
-let wall t =
-  match t.wall_ns with
-  | Some w -> w
-  | None ->
-    let acc = Atomic.get t.acc_wall in
-    if acc > 0 then acc else now_ns t
-
 let to_json t =
-  locked t (fun () ->
-      Json.Obj
-        [
-          ("schema", Json.String "fireaxe-profile-1");
-          ("wall_ns", Json.Int (wall t));
-          ("engines", Json.List (List.rev_map engine_json t.engines));
-          ("opcode_classes", hist_json (retired_classes t));
-          ("cones", Json.List (List.rev_map cone_json t.cones));
-          ("partitions", Json.List (List.rev_map part_json t.parts));
-          ("channels", Json.List (List.rev_map chan_json t.chans));
-          ("wires", Json.List (List.rev_map wire_json t.wires));
-          ( "remote_slices",
-            Json.Obj (List.rev_map (fun (l, j) -> (l, j)) t.slices) );
-          ("load_model", load_model_json t);
-        ])
+  let v = view t in
+  Json.Obj
+    [
+      ("schema", Json.String "fireaxe-profile-1");
+      ("wall_ns", Json.Int v.wall);
+      ("engines", Json.List (List.map engine_json v.engines));
+      ("opcode_classes", hist_json (retired_classes v));
+      ("cones", Json.List (List.map cone_json v.cones));
+      ("partitions", Json.List (List.map row_json v.parts));
+      ("channels", Json.List (List.map row_json v.chans));
+      ("wires", Json.List (List.map row_json v.wires));
+      ("remote_slices", Json.Obj v.slices);
+      ("load_model", load_model_json v);
+    ]
 
 (* One line per send: the worker protocol ships this back verbatim. *)
 let slice_string t = Json.to_string (to_json t)
 
-let write t ~path =
-  let oc = open_out path in
-  output_string oc (Json.to_string (to_json t));
-  output_char oc '\n';
-  close_out oc
+let write t ~path = write_line path (slice_string t)
 
 (* -- human-readable load report ------------------------------------ *)
 
 let pct f = f *. 100.
 
 let report_string t =
+  let v = view t in
   let b = Buffer.create 1024 in
-  let rows, pred_imb, meas_imb = locked t (fun () -> load_model t) in
-  Buffer.add_string b "partition load model (predicted = static instrs/cycle):\n";
+  let line fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let rows, pred_imb, meas_imb = load_model v in
+  line "partition load model (predicted = static instrs/cycle):\n";
   List.iter
     (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "  %-24s predicted %8d (%5.1f%%)   measured %10d ns (%5.1f%%)\n"
-           r.m_name r.m_predicted (pct r.m_predicted_share) r.m_measured_ns
-           (pct r.m_measured_share)))
+      line "  %-24s predicted %8d (%5.1f%%)   measured %10d ns (%5.1f%%)\n" r.m_name
+        r.m_predicted (pct r.m_predicted_share) r.m_measured_ns (pct r.m_measured_share))
     rows;
-  Buffer.add_string b
-    (Printf.sprintf "  imbalance (max/mean): predicted %.2f, measured %.2f\n" pred_imb
-       meas_imb);
-  let parts = locked t (fun () -> List.rev t.parts) in
-  if parts <> [] then begin
-    Buffer.add_string b "scheduler breakdown per partition:\n";
+  line "  imbalance (max/mean): predicted %.2f, measured %.2f\n" pred_imb meas_imb;
+  if v.parts <> [] then begin
+    line "scheduler breakdown per partition:\n";
     List.iter
       (fun p ->
-        let run, ex, spin, park, barrier = part_totals p in
-        Buffer.add_string b
-          (Printf.sprintf
-             "  %-24s run %10d ns  exchange %8d ns  spin %8d ns  park %8d ns  \
-              barrier %8d ns\n"
-             p.pp_name run ex spin park barrier))
-      parts
+        line
+          "  %-24s run %10d ns  exchange %8d ns  spin %8d ns  park %8d ns  barrier %8d ns\n"
+          (id p "name") (get p "run_ns") (get p "exchange_ns") (get p "spin_ns")
+          (get p "park_ns") (get p "barrier_ns"))
+      v.parts
   end;
-  let cones = locked t (fun () -> top_cones t) in
+  let cones = top_cones v in
   if cones <> [] then begin
-    Buffer.add_string b "top cones by eval time:\n";
+    line "top cones by eval time:\n";
     List.iter
       (fun c ->
-        Buffer.add_string b
-          (Printf.sprintf "  %-24s %-20s %8d instrs  %10d ns  %8d evals\n" c.cn_label
-             c.cn_name c.cn_instrs (Atomic.get c.cn_ns) (Atomic.get c.cn_evals)))
+        line "  %-24s %-20s %8d instrs  %10d ns  %8d evals\n" c.cn_label c.cn_name
+          c.cn_instrs (Atomic.get c.cn_ns) (Atomic.get c.cn_evals))
       cones
   end;
-  let chans = locked t (fun () -> top_channels t) in
+  let chans = top_channels v in
   if chans <> [] then begin
-    Buffer.add_string b "top channels by exchange time:\n";
+    line "top channels by exchange time:\n";
     List.iter
       (fun c ->
-        Buffer.add_string b
-          (Printf.sprintf "  %-24s %-20s %10d ns  enq %8d  deq %8d  max batch %d\n"
-             c.ch_part c.ch_name (chan_total_ns c) (Atomic.get c.ch_enq_tokens)
-             (Atomic.get c.ch_deq_tokens) (Atomic.get c.ch_max_batch)))
+        line "  %-24s %-20s %10d ns  enq %8d  deq %8d  max batch %d\n" (id c "part")
+          (id c "name") (chan_total_ns c) (get c "enq_tokens") (get c "deq_tokens")
+          (get c "max_batch"))
       chans
   end;
   Buffer.contents b
@@ -665,17 +468,15 @@ let report_string t =
    nested inside the run span (containment on the same tid is what
    chrome://tracing / Perfetto renders as a flame).  Engine-only
    profiles (no scheduler) get one track per engine instead. *)
-let trace_into t tc =
+let write_trace t ~path =
+  let v = view t in
+  let tc = Chrome_trace.create () in
   let us ns = float_of_int ns /. 1e3 in
-  let parts = locked t (fun () -> List.rev t.parts) in
-  let cones_of l =
-    locked t (fun () -> List.filter (fun c -> c.cn_label = l) t.cones)
-  in
   let emit_cones tr ~label ~ts ~budget_ns =
     let cs =
       List.stable_sort
         (fun a b -> compare (Atomic.get b.cn_ns) (Atomic.get a.cn_ns))
-        (cones_of label)
+        (List.filter (fun c -> c.cn_label = label) v.cones)
     in
     ignore
       (List.fold_left
@@ -691,30 +492,26 @@ let trace_into t tc =
            end)
          0 cs)
   in
-  if parts <> [] then
+  if v.parts <> [] then
     List.iter
       (fun p ->
+        let name = id p "name" in
         let tr =
-          Chrome_trace.track tc ~pid:(p.pp_index + 1) ~tid:0
-            ~pname:("partition " ^ p.pp_name) ~name:"phases" ()
-        in
-        let run, ex, spin, park, barrier = part_totals p in
-        let phases =
-          [ ("run", run); ("exchange", ex); ("spin", spin); ("park", park);
-            ("barrier", barrier) ]
+          Chrome_trace.track tc ~pid:(get p "index" + 1) ~tid:0
+            ~pname:("partition " ^ name) ~name:"phases" ()
         in
         ignore
           (List.fold_left
-             (fun off (name, ns) ->
+             (fun off phase ->
+               let ns = get p (phase ^ "_ns") in
                if ns <= 0 then off
                else begin
-                 Chrome_trace.span tr ~name ~ts:(us off) ~dur:(us ns) ();
-                 if name = "run" then
-                   emit_cones tr ~label:p.pp_name ~ts:(us off) ~budget_ns:ns;
+                 Chrome_trace.span tr ~name:phase ~ts:(us off) ~dur:(us ns) ();
+                 if phase = "run" then emit_cones tr ~label:name ~ts:(us off) ~budget_ns:ns;
                  off + ns
                end)
-             0 phases))
-      parts
+             0 [ "run"; "exchange"; "spin"; "park"; "barrier" ]))
+      v.parts
   else
     List.iteri
       (fun i e ->
@@ -729,9 +526,5 @@ let trace_into t tc =
         end;
         if seq > 0 then
           Chrome_trace.span tr ~name:"seq" ~ts:(us comb) ~dur:(us seq) ())
-      (locked t (fun () -> List.rev t.engines))
-
-let write_trace t ~path =
-  let tr = Chrome_trace.create () in
-  trace_into t tr;
-  Chrome_trace.save tr ~path
+      v.engines;
+  Chrome_trace.save tc ~path

@@ -1,247 +1,9 @@
-(* The telemetry registry: named counters, gauges and percentile
-   histograms plus an optional Chrome-trace collector, behind one sink
-   object threaded through the LI-BDN execution layers.
+(* The library's main module: the one telemetry sink ({!Sink}) plus the
+   sibling modules under their public names ([Telemetry.Json],
+   [Telemetry.Chrome_trace], [Telemetry.Snapshot], [Telemetry.Profile]). *)
 
-   The disabled default ({!null}) is free on the hot path: every metric
-   handed out by a disabled registry carries [*_on = false], so the
-   recording operations reduce to a single predictable branch — no
-   allocation, no atomics, no clock reads.  Instrumentation that must
-   do extra work to *compute* a sample (queue lengths, wall-clock
-   reads) additionally guards on {!enabled}.
-
-   Counters and gauges are atomics because partitions record from their
-   own domains; histograms (which mutate a [Des.Stats] sample buffer)
-   take a per-histogram mutex, and are only used on per-domain or
-   driver-thread paths (remote-engine round trips). *)
-
-(* Re-export the sibling modules: [Telemetry] is the library's main
-   module, so these are the public names ([Telemetry.Json],
-   [Telemetry.Chrome_trace], [Telemetry.Snapshot]). *)
+include Sink
 module Json = Json
 module Chrome_trace = Chrome_trace
 module Snapshot = Snapshot
 module Profile = Profile
-
-type counter = {
-  c_name : string;
-  c_on : bool;
-  c_v : int Atomic.t;
-}
-
-type gauge = {
-  g_name : string;
-  g_on : bool;
-  g_v : int Atomic.t;
-}
-
-type hist = {
-  h_name : string;
-  h_on : bool;
-  h_mu : Mutex.t;
-  h_stats : Des.Stats.t;
-}
-
-type t = {
-  enabled : bool;
-  t0 : float;
-  mu : Mutex.t;  (** guards the registration lists *)
-  mutable t_counters : counter list;  (* newest first *)
-  mutable t_gauges : gauge list;
-  mutable t_hists : hist list;
-  t_trace : Chrome_trace.t option;
-  mutable t_deadlock : Snapshot.t option;
-}
-
-let make ~enabled ~trace =
-  {
-    enabled;
-    t0 = Unix.gettimeofday ();
-    mu = Mutex.create ();
-    t_counters = [];
-    t_gauges = [];
-    t_hists = [];
-    t_trace = (if trace then Some (Chrome_trace.create ()) else None);
-    t_deadlock = None;
-  }
-
-(** The shared disabled sink: every metric it hands out is an inert
-    dummy and nothing is ever registered or exported. *)
-let null = make ~enabled:false ~trace:false
-
-let create ?(trace = false) () = make ~enabled:true ~trace
-
-let enabled t = t.enabled
-
-let trace t = t.t_trace
-
-(** Microseconds since the sink was created (the trace collector keeps
-    its own origin; use {!Chrome_trace.now_us} for event timestamps). *)
-let now_us t = (Unix.gettimeofday () -. t.t0) *. 1e6
-
-(* ------------------------------------------------------------------ *)
-(* Registration (get-or-create by name)                                *)
-(* ------------------------------------------------------------------ *)
-
-let counter t name =
-  if not t.enabled then { c_name = name; c_on = false; c_v = Atomic.make 0 }
-  else begin
-    Mutex.lock t.mu;
-    let c =
-      match List.find_opt (fun c -> c.c_name = name) t.t_counters with
-      | Some c -> c
-      | None ->
-        let c = { c_name = name; c_on = true; c_v = Atomic.make 0 } in
-        t.t_counters <- c :: t.t_counters;
-        c
-    in
-    Mutex.unlock t.mu;
-    c
-  end
-
-let gauge t name =
-  if not t.enabled then { g_name = name; g_on = false; g_v = Atomic.make 0 }
-  else begin
-    Mutex.lock t.mu;
-    let g =
-      match List.find_opt (fun g -> g.g_name = name) t.t_gauges with
-      | Some g -> g
-      | None ->
-        let g = { g_name = name; g_on = true; g_v = Atomic.make 0 } in
-        t.t_gauges <- g :: t.t_gauges;
-        g
-    in
-    Mutex.unlock t.mu;
-    g
-  end
-
-let hist t name =
-  if not t.enabled then
-    { h_name = name; h_on = false; h_mu = Mutex.create (); h_stats = Des.Stats.create () }
-  else begin
-    Mutex.lock t.mu;
-    let h =
-      match List.find_opt (fun h -> h.h_name = name) t.t_hists with
-      | Some h -> h
-      | None ->
-        let h =
-          { h_name = name; h_on = true; h_mu = Mutex.create (); h_stats = Des.Stats.create () }
-        in
-        t.t_hists <- h :: t.t_hists;
-        h
-    in
-    Mutex.unlock t.mu;
-    h
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Recording (hot path: one branch when disabled)                      *)
-(* ------------------------------------------------------------------ *)
-
-let incr c = if c.c_on then Atomic.incr c.c_v
-
-let add c n = if c.c_on then ignore (Atomic.fetch_and_add c.c_v n)
-
-let counter_value c = Atomic.get c.c_v
-
-let set g v = if g.g_on then Atomic.set g.g_v v
-
-(* Monotone max update (concurrent recorders race toward the max). *)
-let set_max g v =
-  if g.g_on then begin
-    let rec go () =
-      let cur = Atomic.get g.g_v in
-      if v > cur && not (Atomic.compare_and_set g.g_v cur v) then go ()
-    in
-    go ()
-  end
-
-let gauge_value g = Atomic.get g.g_v
-
-let observe h v =
-  if h.h_on then begin
-    Mutex.lock h.h_mu;
-    Des.Stats.add h.h_stats v;
-    Mutex.unlock h.h_mu
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Deadlock snapshots                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Records a structured network snapshot on both sinks: kept for the
-    metrics exporter and emitted as an instant event on the trace
-    (track pid = -1, the network-wide lane). *)
-let record_deadlock t snap =
-  if t.enabled then begin
-    Mutex.lock t.mu;
-    t.t_deadlock <- Some snap;
-    Mutex.unlock t.mu;
-    match t.t_trace with
-    | None -> ()
-    | Some tc ->
-      let tr = Chrome_trace.track tc ~pid:(-1) ~tid:0 ~pname:"network" ~name:"events" () in
-      Chrome_trace.instant tr ~name:"deadlock"
-        ~args:[ ("snapshot", Snapshot.to_json snap) ]
-        ~ts:(Chrome_trace.now_us tc) ()
-  end
-
-let last_deadlock t = t.t_deadlock
-
-(* ------------------------------------------------------------------ *)
-(* Export                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let counters t =
-  Mutex.lock t.mu;
-  let cs = List.rev_map (fun c -> (c.c_name, Atomic.get c.c_v)) t.t_counters in
-  Mutex.unlock t.mu;
-  cs
-
-let gauges t =
-  Mutex.lock t.mu;
-  let gs = List.rev_map (fun g -> (g.g_name, Atomic.get g.g_v)) t.t_gauges in
-  Mutex.unlock t.mu;
-  gs
-
-let hist_summary h =
-  Json.Obj
-    [
-      ("count", Json.Int (Des.Stats.count h.h_stats));
-      ("mean", Json.Float (Des.Stats.mean h.h_stats));
-      ("p50", Json.Int (Des.Stats.percentile h.h_stats 50));
-      ("p90", Json.Int (Des.Stats.percentile h.h_stats 90));
-      ("p99", Json.Int (Des.Stats.percentile h.h_stats 99));
-      ("max", Json.Int (Des.Stats.max_value h.h_stats));
-    ]
-
-let hists t =
-  Mutex.lock t.mu;
-  let hs = List.rev t.t_hists in
-  Mutex.unlock t.mu;
-  List.map (fun h -> (h.h_name, hist_summary h)) hs
-
-(** The whole registry as one JSON metrics snapshot. *)
-let metrics_json t =
-  Json.Obj
-    [
-      ("schema", Json.String "fireaxe-metrics-1");
-      ("enabled", Json.Bool t.enabled);
-      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
-      ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (gauges t)));
-      ("histograms", Json.Obj (hists t));
-      ( "deadlock",
-        match t.t_deadlock with None -> Json.Null | Some s -> Snapshot.to_json s );
-    ]
-
-let metrics_json_string t = Json.to_string (metrics_json t)
-
-let write_metrics t ~path =
-  let oc = open_out path in
-  output_string oc (metrics_json_string t);
-  output_char oc '\n';
-  close_out oc
-
-(** Writes the Chrome trace (no-op when the sink has no trace
-    collector). *)
-let write_trace t ~path =
-  match t.t_trace with None -> () | Some tc -> Chrome_trace.save tc ~path

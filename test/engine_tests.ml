@@ -370,6 +370,46 @@ let oob_write_counts engine () =
   check_int "each wrapped write counts once" 2 (Telemetry.counter_value wrapped);
   check_int "13 mod 4 = 1" 8 (Rtlsim.Sim.peek_mem s "m" 1)
 
+(* A unit that writes its own free-running 4-bit counter into a 4-deep
+   memory at the counter's address: 12 of every 16 writes wrap.  Under
+   a partitioned run the unit simulators record into the run's sink
+   just like a monolithic simulator does. *)
+let oob_partitioned engine () =
+  let counter_module =
+    let b = Builder.create "oobw" in
+    let c = Builder.reg b "c" 4 in
+    Builder.reg_next b "c" Dsl.(c +: lit ~width:4 1);
+    let m = Builder.mem b "m" ~width:4 ~depth:4 in
+    Builder.mem_write b m ~addr:c ~data:c ~enable:(Dsl.lit ~width:1 1);
+    Builder.output b "probe" 4;
+    Builder.connect b "probe" (Ast.Read { mem = m; addr = Ast.Lit { value = 0; width = 2 } });
+    Builder.finish b
+  in
+  let circuit () =
+    let b = Builder.create "top" in
+    let u = Builder.inst b "u" "oobw" in
+    Builder.output b "q" 4;
+    Builder.connect b "q" (Builder.of_inst u "probe");
+    Ast.{ cname = "top"; main = "top"; modules = [ counter_module; Builder.finish b ] }
+  in
+  let wrapped telemetry =
+    Telemetry.counter_value (Telemetry.counter telemetry "rtlsim.mem.addr_wrapped")
+  in
+  let mono = Telemetry.create () in
+  let sim = Rtlsim.Sim.of_circuit ~engine ~telemetry:mono (circuit ()) in
+  for _ = 1 to 32 do
+    Rtlsim.Sim.step sim
+  done;
+  check_int "monolithic: 12 of every 16 writes wrap" 24 (wrapped mono);
+  let telemetry = Telemetry.create () in
+  let config =
+    { FR.Spec.default_config with FR.Spec.selection = FR.Spec.Instances [ [ "u" ] ] }
+  in
+  let h = FR.Runtime.instantiate ~engine ~telemetry (FR.Compile.compile ~config (circuit ())) in
+  FR.Runtime.run h ~cycles:32;
+  check_int "partitioned run counts the same wrapped writes" (wrapped mono)
+    (wrapped telemetry)
+
 (* ------------------------------------------------------------------ *)
 (* Optimization passes                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -484,6 +524,8 @@ let suite =
           (oob_write_counts Rtlsim.Sim.Closure);
         Alcotest.test_case "OOB write counted (bytecode)" `Quick
           (oob_write_counts Rtlsim.Sim.Bytecode);
+        Alcotest.test_case "OOB write counted (partitioned)" `Quick
+          (oob_partitioned Rtlsim.Sim.Bytecode);
         QCheck_alcotest.to_alcotest prop_random_inputs_crosscheck;
         QCheck_alcotest.to_alcotest prop_random_circuits_crosscheck;
       ] );

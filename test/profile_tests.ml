@@ -1,14 +1,17 @@
-(* Tests for the hot-path profiler: the fireaxe-profile-1 document
-   round-trips through the shared JSON layer; enabling a profile never
+(* Tests for the hot-path profiler, the timing level of the one
+   telemetry sink: the fireaxe-profile-1 document read back from the
+   sink round-trips through the shared JSON layer; enabling a profile never
    perturbs simulation (bit-exact state crosscheck, monolithic and
    partitioned, both engines and both schedulers, over every bundled
    example design); retired opcode-class counters are exact on a
    hand-written design (static histogram x passes, the straight-line
-   program argument made checkable); the disabled [Profile.null] path
+   program argument made checkable); the disabled [Telemetry.null] path
    stays allocation-free and far under the 2%-of-a-target-cycle budget;
-   and a deliberately starved two-partition ring reports nonzero stall
+   a deliberately starved two-partition ring reports nonzero stall
    time — the regression test for the all-zero stall_breakdown bug
-   (fast paths used to bypass the stall counters entirely). *)
+   (fast paths used to bypass the stall counters entirely); a
+   sequential run books every partition's run time, the phases adding
+   up to the wall clock; and the wire rows agree with the metrics. *)
 
 module FR = Fireripper
 module J = Telemetry.Json
@@ -56,12 +59,14 @@ let list_field j k =
 (* Schema round-trip through Telemetry.Json                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A profile populated across every granularity — engine, cone,
-   partition, channel, wire, remote slice — must serialize to a
-   one-line document the shared parser accepts, and the parsed tree
-   must survive a second emit/parse cycle unchanged. *)
+(* A sink populated across every granularity — engine, cone, partition,
+   channel, wire, remote slice — under the metric names the network,
+   schedulers and remote engine record, must serialize to a one-line
+   profile document the shared parser accepts, and the parsed tree must
+   survive a second emit/parse cycle unchanged. *)
 let test_schema_round_trip () =
-  let p = P.create () in
+  let p = Telemetry.create ~profile:true () in
+  let add name v = Telemetry.add (Telemetry.counter p name) v in
   let e =
     P.engine p ~label:"u0" ~kind:"bytecode" ~lanes:2
       ~comb_hist:[ ("arith", 3); ("mov", 1) ]
@@ -71,20 +76,20 @@ let test_schema_round_trip () =
   P.add_seq e 500;
   let cn = P.cone p ~label:"u0" ~name:"out" ~instrs:7 ~hist:[ ("arith", 7) ] in
   P.add_cone_eval cn 250;
-  let pt = P.part p ~name:"u0" ~index:0 in
-  P.add_run pt 10_000;
-  P.add_exchange pt 2_000;
-  P.add_spin pt 300;
-  P.add_park pt 700;
-  P.add_barrier pt 100;
-  P.add_cycles pt 42;
-  let ch = P.channel p ~part:"u0" ~name:"out" in
-  P.add_enq ch ~tokens:4 900;
-  P.add_deq ch ~tokens:4 800;
-  let w = P.wire p ~label:"u1" in
-  P.add_wire w ~bytes_out:64 ~bytes_in:32 5_000;
+  List.iter
+    (fun (k, v) -> add ("sched.u0." ^ k) v)
+    [ ("run_ns", 10_000); ("exchange_ns", 2_000); ("spin_ns", 300); ("park_ns", 700);
+      ("barrier_ns", 100); ("cycles", 42); ("spins", 1); ("parks", 1) ];
+  List.iter
+    (fun (k, v) -> add ("net.u0.in.out." ^ k) v)
+    [ ("pushes", 1); ("enq", 4); ("push_ns", 900); ("drops", 1); ("deq", 4);
+      ("drop_ns", 800) ];
+  Telemetry.set_max (Telemetry.gauge p "net.u0.in.out.max_batch") 4;
+  add "remote.u1.bytes_out" 64;
+  add "remote.u1.bytes_in" 32;
+  Telemetry.observe (Telemetry.hist p "remote.u1.rtt_us") 5;
   P.add_slice p ~label:"u1" (J.Obj [ ("schema", J.String "fireaxe-profile-1") ]);
-  P.set_wall_ns p 20_000;
+  add "sched.wall_ns" 20_000;
   let line = P.slice_string p in
   check_bool "slice is one line" false (String.contains line '\n');
   let doc =
@@ -122,6 +127,15 @@ let test_schema_round_trip () =
   check_int "spins" 1 (int_field part "spins");
   check_int "parks" 1 (int_field part "parks");
   check_int "cycles" 42 (int_field part "cycles");
+  (* Channel and wire rows read the same sink back. *)
+  let chan = List.hd (list_field doc "channels") in
+  check_int "enq_ns" 900 (int_field chan "enq_ns");
+  check_int "deq_tokens" 4 (int_field chan "deq_tokens");
+  check_int "max_batch" 4 (int_field chan "max_batch");
+  let wire = List.hd (list_field doc "wires") in
+  check_int "round_trips" 1 (int_field wire "round_trips");
+  check_int "bytes_out" 64 (int_field wire "bytes_out");
+  check_int "wire ns" 5_000 (int_field wire "ns");
   (* Retired counts: hist x passes x lanes (2 lanes, 1 pass each). *)
   let classes = match field doc "opcode_classes" with
     | Some o -> o
@@ -146,8 +160,8 @@ let test_monolithic_determinism () =
       let circuit = load file in
       List.iter
         (fun (ename, engine) ->
-          let run profile =
-            let sim = Rtlsim.Sim.of_circuit ~engine ~profile circuit in
+          let run telemetry =
+            let sim = Rtlsim.Sim.of_circuit ~engine ~telemetry circuit in
             for _ = 1 to 80 do
               Rtlsim.Sim.step sim
             done;
@@ -155,8 +169,8 @@ let test_monolithic_determinism () =
           in
           check_string
             (Printf.sprintf "%s (%s): profile on/off bit-exact" file ename)
-            (run P.null)
-            (run (P.create ())))
+            (run Telemetry.null)
+            (run (Telemetry.create ~profile:true ())))
         [ ("closure", Rtlsim.Sim.Closure); ("bytecode", Rtlsim.Sim.Bytecode) ])
     (example_designs ())
 
@@ -186,16 +200,18 @@ let test_partitioned_determinism () =
         (fun scheduler ->
           List.iter
             (fun (ename, engine) ->
-              let run profile =
-                let h = FR.Runtime.instantiate ~scheduler ~engine ~profile (plan_of circuit) in
+              let run telemetry =
+                let h =
+                  FR.Runtime.instantiate ~scheduler ~engine ~telemetry (plan_of circuit)
+                in
                 FR.Runtime.run h ~cycles:60;
                 FR.Runtime.save_to_string h
               in
               check_string
                 (Printf.sprintf "%s (%s, %s): profile on/off bit-exact" file
                    (Libdn.Scheduler.name scheduler) ename)
-                (run P.null)
-                (run (P.create ())))
+                (run Telemetry.null)
+                (run (Telemetry.create ~profile:true ())))
             [ ("closure", Rtlsim.Sim.Closure); ("bytecode", Rtlsim.Sim.Bytecode) ])
         [ Libdn.Scheduler.Sequential; Libdn.Scheduler.Parallel ])
     (example_designs ())
@@ -225,9 +241,9 @@ let tiny_circuit () =
        ])
 
 let retired_classes ~cycles =
-  let profile = P.create () in
+  let profile = Telemetry.create ~profile:true () in
   let sim =
-    Rtlsim.Sim.of_circuit ~engine:Rtlsim.Sim.Bytecode ~profile (tiny_circuit ())
+    Rtlsim.Sim.of_circuit ~engine:Rtlsim.Sim.Bytecode ~telemetry:profile (tiny_circuit ())
   in
   Rtlsim.Sim.set_input sim "a" 3;
   Rtlsim.Sim.set_input sim "b" 5;
@@ -273,24 +289,26 @@ let ring_plan groups =
   in
   FR.Compile.compile ~config (Socgen.Ring_noc.ring_soc ~n_tiles:8 ~period:4 ())
 
-(* The Profile.null discipline promises: recording into a disabled
+(* The Telemetry.null discipline promises: recording into a disabled
    recorder is one predictable branch and never allocates.  Measured
-   directly — per-call cost of the hottest recorders against the wall
-   time of one ring-8 target cycle — the disabled path must cost far
-   under 2% even assuming a generous per-cycle call count. *)
+   directly — per-call cost of the hottest recorders (engine pass, the
+   sweep's run counter, a channel's push timer) against the wall time
+   of one ring-8 target cycle — the disabled path must cost far under
+   2% even assuming a generous per-cycle call count. *)
 let test_null_overhead () =
   let e =
-    P.engine P.null ~label:"x" ~kind:"bytecode" ~lanes:1 ~comb_hist:[] ~seq_hist:[]
+    P.engine Telemetry.null ~label:"x" ~kind:"bytecode" ~lanes:1 ~comb_hist:[]
+      ~seq_hist:[]
   in
-  let pt = P.part P.null ~name:"x" ~index:0 in
-  let ch = P.channel P.null ~part:"x" ~name:"c" in
+  let pt = Telemetry.counter Telemetry.null "sched.x.run_ns" in
+  let ch = Telemetry.timer Telemetry.null "net.x.in.c.push_ns" in
   let calls = 1_000_000 in
   let minor_before = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for i = 1 to calls do
     P.add_comb e i;
-    P.add_run pt i;
-    P.add_enq ch ~tokens:1 i
+    Telemetry.add pt i;
+    Telemetry.add ch i
   done;
   let per_call_ns =
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (3 * calls)
@@ -331,18 +349,16 @@ let test_null_overhead () =
    stall counters, so profiles reported an all-zero stall_breakdown
    on exactly the runs where stalls dominate. *)
 let test_starved_ring_stall_attribution () =
-  let telemetry = Telemetry.create () in
-  let profile = P.create () in
-  (* A live profile forces the real-domain parallel path even on a
+  let telemetry = Telemetry.create ~profile:true () in
+  (* A profiling sink forces the real-domain parallel path even on a
      single-core host, so spin/park instrumentation actually runs. *)
   let h =
     FR.Runtime.instantiate ~scheduler:Libdn.Scheduler.Parallel ~telemetry
-      ~profile
       (ring_plan [ [ 0; 1; 2; 3; 4; 5; 6; 7 ] ])
   in
   FR.Runtime.set_drive h 0 (fun _ _ -> Unix.sleepf 0.0002);
   FR.Runtime.run h ~cycles:40;
-  let doc = P.to_json profile in
+  let doc = P.to_json telemetry in
   let parts = list_field doc "partitions" in
   check_int "two partitions profiled" 2 (List.length parts);
   let total key = List.fold_left (fun acc p -> acc + int_field p key) 0 parts in
@@ -414,6 +430,60 @@ let test_cooperative_stalls_counted () =
         (stalls scheduler > 0))
     [ Libdn.Scheduler.Parallel; Libdn.Scheduler.Sequential ]
 
+
+(* ------------------------------------------------------------------ *)
+(* Sequential phases and wire rows                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One thread runs the partitions in turn under the sequential
+   scheduler, so each partition's sweeps must be booked as its run time
+   (nonzero for everyone) and the partitions' phases together — not one
+   by one — must add up to the section wall, within the CI profiler
+   smoke's band. *)
+let test_seq_phases_add_up () =
+  let telemetry = Telemetry.create ~profile:true () in
+  let h =
+    FR.Runtime.instantiate ~scheduler:Libdn.Scheduler.Sequential ~telemetry
+      (ring_plan [ [ 0; 1; 2; 3 ] ])
+  in
+  FR.Runtime.run h ~cycles:300;
+  let doc = P.to_json telemetry in
+  let parts = list_field doc "partitions" in
+  check_int "two partitions profiled" 2 (List.length parts);
+  List.iter
+    (fun p ->
+      check_bool (string_field p "name" ^ ": run_ns > 0") true (int_field p "run_ns" > 0);
+      check_int (string_field p "name" ^ ": cycles") 300 (int_field p "cycles"))
+    parts;
+  let wall = float_of_int (int_field doc "wall_ns") in
+  let total = float_of_int (List.fold_left (fun a p -> a + int_field p "total_ns") 0 parts) in
+  if total < 0.5 *. wall || total > 1.15 *. wall then
+    Alcotest.failf "partition phases sum to %.0f ns, wall %.0f ns" total wall
+
+(* Every protocol line to a worker — the one-way set/eval/step/runcone
+   lines as much as the asked ones — is wire traffic: the profile's
+   wire rows must report exactly the bytes the metrics count. *)
+let test_wire_rows_match_metrics () =
+  let telemetry = Telemetry.create ~profile:true () in
+  let h, conns =
+    FR.Runtime.instantiate_remote ~telemetry ~worker:Remote_tests.worker
+      ~remote_units:[ 1 ] (Remote_tests.soc_plan ())
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (_, c) -> Libdn.Remote_engine.close c) conns)
+    (fun () -> FR.Runtime.run h ~cycles:50);
+  let wires = list_field (P.to_json telemetry) "wires" in
+  check_int "one wire row" 1 (List.length wires);
+  let metrics = Option.get (field (Telemetry.metrics_json telemetry) "counters") in
+  List.iter
+    (fun w ->
+      let label = string_field w "label" in
+      let counted = int_field metrics ("remote." ^ label ^ ".bytes_out") in
+      check_bool "wire carried bytes" true (counted > 0);
+      check_int (label ^ ": wire bytes_out = metrics bytes_out") counted
+        (int_field w "bytes_out"))
+    wires
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -434,5 +504,9 @@ let suite =
           test_starved_ring_stall_attribution;
         Alcotest.test_case "cooperative fallback counts stalls" `Quick
           test_cooperative_stalls_counted;
+        Alcotest.test_case "sequential phases add up to wall" `Quick
+          test_seq_phases_add_up;
+        Alcotest.test_case "wire rows match the metrics" `Quick
+          test_wire_rows_match_metrics;
       ] );
   ]
