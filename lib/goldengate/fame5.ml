@@ -140,11 +140,25 @@ let engine t : Libdn.Engine.t =
     let k, port = bank_of t name in
     Hashtbl.replace t.in_latch.(k) port v
   in
-  let get name =
-    let k, port = bank_of t name in
+  let read_latch k port name =
     match Hashtbl.find_opt t.out_latch.(k) port with
     | Some v -> v
     | None -> Rtlsim.Sim.sim_error "fame5: output %s not captured yet" name
+  in
+  let get name =
+    let k, port = bank_of t name in
+    read_latch k port name
+  in
+  (* Bound ports resolve their thread bank and tile port once. *)
+  let bind names = Array.of_list (List.map (fun name -> (bank_of t name, name)) names) in
+  let bind_inputs names =
+    let ports = bind names in
+    fun (tok : Libdn.Channel.token) ->
+      Array.iteri (fun j ((k, port), _) -> Hashtbl.replace t.in_latch.(k) port tok.(j)) ports
+  in
+  let bind_outputs names =
+    let ports = bind names in
+    fun () -> Array.map (fun ((k, port), name) -> read_latch k port name) ports
   in
   (* The per-target-cycle scheduler.  eval_comb is deferred into
      step_seq because a full evaluation is only meaningful once every
@@ -255,6 +269,8 @@ let engine t : Libdn.Engine.t =
     Libdn.Engine.set_input;
     get;
     get_ports = List.map get;
+    bind_inputs;
+    bind_outputs;
     eval_comb = (fun () -> ());
     step_seq;
     make_cone_eval;

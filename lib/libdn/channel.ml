@@ -13,9 +13,6 @@ let width spec = List.fold_left (fun acc (_, w) -> acc + w) 0 spec.ports
 
 type token = int array
 
-let token_of_ports spec get : token =
-  Array.of_list (List.map (fun (p, _) -> get p) spec.ports)
-
 (* Batched gather: all the channel's ports in one engine call — one
    protocol round trip when the engine is remote. *)
 let token_of_ports_batch spec get_ports : token =
@@ -92,10 +89,20 @@ exception Aborted
    single consumer (the destination partition's domain); both ends
    synchronize on the destination partition's notifier.  The sequential
    scheduler uses the same queues — uncontended mutexes cost little and
-   keep one code path. *)
+   keep one code path.
+
+   Tokens sit in a fixed ring allocated at the first push, so pushes,
+   reads and drops allocate nothing.  The ring's extra last cell holds a
+   filler (the first token ever pushed) that a drop writes over the
+   consumed slot: a long-lived ring must not keep dead tokens reachable,
+   or every minor collection would promote them. *)
 module Bqueue = struct
   type 'a t = {
-    bq_q : 'a Queue.t;
+    mutable bq_ring : 'a array;
+        (** empty until the first push; then [slots + 1] cells, the last
+            one the filler *)
+    mutable bq_head : int;  (** ring slot of the oldest token *)
+    mutable bq_len : int;
     bq_capacity : int;
     mutable bq_notif : Notifier.t;
         (** the owning (consumer) partition's notifier *)
@@ -105,7 +112,7 @@ module Bqueue = struct
 
   let create ~capacity ~notif =
     if capacity < 1 then invalid_arg "Bqueue.create: capacity must be positive";
-    { bq_q = Queue.create (); bq_capacity = capacity; bq_notif = notif }
+    { bq_ring = [||]; bq_head = 0; bq_len = 0; bq_capacity = capacity; bq_notif = notif }
 
   let notifier t = t.bq_notif
 
@@ -115,148 +122,136 @@ module Bqueue = struct
      starts). *)
   let set_notifier t n = t.bq_notif <- n
 
-  (* With [block], waits for space (checking [abort] across wakeups and
-     raising {!Aborted} if it trips); without, raises {!Full} — the
-     sequential scheduler never legitimately fills a queue, so hitting
-     capacity there is a hard error rather than a reason to block a
-     single-threaded loop forever. *)
-  let push t x ~block ~abort =
-    let n = t.bq_notif in
-    Mutex.lock n.Notifier.n_mu;
-    if block then begin
-      while Queue.length t.bq_q >= t.bq_capacity && not (abort ()) do
+  let slots t = Array.length t.bq_ring - 1
+
+  (* Ring slot of the [i]-th token from the head. *)
+  let slot t i =
+    let j = t.bq_head + i and n = slots t in
+    if j >= n then j - n else j
+
+  (* Appends [x] (room already checked, notifier mutex held). *)
+  let enqueue t x =
+    if Array.length t.bq_ring = 0 then t.bq_ring <- Array.make (t.bq_capacity + 1) x;
+    t.bq_ring.(slot t t.bq_len) <- x;
+    t.bq_len <- t.bq_len + 1
+
+  (* Waits (notifier mutex held) until the queue has room, publishing
+     what is already enqueued first; raises {!Aborted} if [abort] trips
+     meanwhile, or {!Full} without [block]. *)
+  let await_room t ~block ~abort =
+    if t.bq_len >= t.bq_capacity then begin
+      if not block then raise Full;
+      let n = t.bq_notif in
+      Notifier.bump n;
+      while t.bq_len >= t.bq_capacity && not (abort ()) do
         Notifier.wait n
       done;
-      if abort () then begin
-        Mutex.unlock n.Notifier.n_mu;
-        raise Aborted
-      end
+      if abort () then raise Aborted
     end
-    else if Queue.length t.bq_q >= t.bq_capacity then begin
-      Mutex.unlock n.Notifier.n_mu;
-      raise Full
-    end;
-    Queue.push x t.bq_q;
-    Notifier.bump n;
-    Mutex.unlock n.Notifier.n_mu
 
-  (* Slab enqueue: the whole batch goes in under ONE lock with ONE
-     wakeup bump — the amortization that makes K-cycle batched exchange
-     cheaper than K single pushes.  With [block], a full queue publishes
-     the prefix already enqueued (so the consumer can drain it) and
-     waits for space; without, {!Full} is raised when the remainder does
+  (* Slab enqueue of [xs.(0 .. len-1)]: the whole batch goes in under
+     ONE lock with ONE wakeup bump — the amortization that makes K-cycle
+     batched exchange cheaper than K single pushes.  With [block], a
+     full queue publishes the prefix already enqueued (so the consumer
+     can drain it) and waits for space, raising {!Aborted} if [abort]
+     trips meanwhile; without, {!Full} is raised when the remainder does
      not fit — the prefix stays enqueued, which is fine because the
-     sequential scheduler treats Full as a hard error anyway. *)
-  let push_list t xs ~block ~abort =
-    match xs with
-    | [] -> ()
-    | xs ->
+     sequential scheduler never legitimately fills a queue and treats
+     Full as a hard error rather than a reason to block a single-threaded
+     loop forever. *)
+  let push_slab t xs ~len ~block ~abort =
+    if len > 0 then begin
       let n = t.bq_notif in
       Mutex.lock n.Notifier.n_mu;
       (try
-         List.iter
-           (fun x ->
-             if Queue.length t.bq_q >= t.bq_capacity then begin
-               if not block then raise Full;
-               Notifier.bump n;
-               while Queue.length t.bq_q >= t.bq_capacity && not (abort ()) do
-                 Notifier.wait n
-               done;
-               if abort () then raise Aborted
-             end;
-             Queue.push x t.bq_q)
-           xs
+         for i = 0 to len - 1 do
+           await_room t ~block ~abort;
+           enqueue t xs.(i)
+         done
        with e ->
          Notifier.bump n;
          Mutex.unlock n.Notifier.n_mu;
          raise e);
       Notifier.bump n;
       Mutex.unlock n.Notifier.n_mu
+    end
+
+  let push t x ~block ~abort = push_slab t [| x |] ~len:1 ~block ~abort
 
   let peek_opt t =
     Mutex.lock t.bq_notif.Notifier.n_mu;
-    let v = Queue.peek_opt t.bq_q in
+    let v = if t.bq_len = 0 then None else Some t.bq_ring.(t.bq_head) in
     Mutex.unlock t.bq_notif.Notifier.n_mu;
     v
 
-  (* Slab peek: up to [n] head tokens in queue order, without touching
-     the lock — a sweep snapshots every sibling queue's batch under the
-     single notifier lock the caller already holds.  Stops after [n]
-     tokens, so cost is O(min n length) not O(length), and it allocates
-     nothing but the result (a sweep runs it per input every cycle). *)
-  let peek_upto_unlocked t n =
-    let k = min n (Queue.length t.bq_q) in
-    if k <= 0 then [||]
-    else begin
-      let a = Array.make k (Queue.peek t.bq_q) in
-      if k > 1 then begin
-        let i = ref 0 in
-        try
-          Queue.iter
-            (fun x ->
-              if !i = k then raise_notrace Exit;
-              a.(!i) <- x;
-              incr i)
-            t.bq_q
-        with Exit -> ()
-      end;
-      a
-    end
+  (* The [i]-th token from the head, in place.  Sound without the lock
+     for the single consumer once it has seen [length > i]: producers
+     only append behind the tail, and only the consumer drops. *)
+  let nth_unlocked t i =
+    if i < 0 || i >= t.bq_len then invalid_arg "Bqueue.nth_unlocked: index out of range";
+    t.bq_ring.(slot t i)
+
+  let length_unlocked t = t.bq_len
 
   (* Slab drop without bumping the notifier: the caller batches drops
      across sibling queues under one lock and bumps once.  Must be
-     called with the notifier mutex held and at least [n] elements
-     queued. *)
+     called with the notifier mutex held. *)
   let drop_n_unlocked t n =
+    if n > t.bq_len then invalid_arg "Bqueue.drop: not enough tokens queued";
     for _ = 1 to n do
-      ignore (Queue.pop t.bq_q)
+      t.bq_ring.(t.bq_head) <- t.bq_ring.(slots t);
+      t.bq_head <- slot t 1;
+      t.bq_len <- t.bq_len - 1
     done
 
   (* Locked slab drop: [n] heads gone under one lock with one bump. *)
   let drop_n t n =
     if n > 0 then begin
       Mutex.lock t.bq_notif.Notifier.n_mu;
-      drop_n_unlocked t n;
+      (try drop_n_unlocked t n
+       with e ->
+         Mutex.unlock t.bq_notif.Notifier.n_mu;
+         raise e);
       Notifier.bump t.bq_notif;
       Mutex.unlock t.bq_notif.Notifier.n_mu
     end
 
   (* Drops the head token (consumer side), freeing space and waking any
      producer blocked on a full queue. *)
-  let drop t =
-    Mutex.lock t.bq_notif.Notifier.n_mu;
-    ignore (Queue.pop t.bq_q);
-    Notifier.bump t.bq_notif;
-    Mutex.unlock t.bq_notif.Notifier.n_mu
-
-  let is_empty t =
-    Mutex.lock t.bq_notif.Notifier.n_mu;
-    let v = Queue.is_empty t.bq_q in
-    Mutex.unlock t.bq_notif.Notifier.n_mu;
-    v
+  let drop t = drop_n t 1
 
   let length t =
     Mutex.lock t.bq_notif.Notifier.n_mu;
-    let v = Queue.length t.bq_q in
+    let v = t.bq_len in
     Mutex.unlock t.bq_notif.Notifier.n_mu;
     v
+
+  let is_empty t = length t = 0
 
   (* Lock-free emptiness probe for the quiescence check: only sound once
      every producer and the consumer are blocked (their last mutations
      were published by the monitor lock they took to register). *)
-  let is_empty_unsynchronized t = Queue.is_empty t.bq_q
+  let is_empty_unsynchronized t = t.bq_len = 0
 
   let to_list t =
     Mutex.lock t.bq_notif.Notifier.n_mu;
-    let v = Queue.fold (fun acc x -> x :: acc) [] t.bq_q |> List.rev in
+    let v = List.init t.bq_len (fun i -> t.bq_ring.(slot t i)) in
     Mutex.unlock t.bq_notif.Notifier.n_mu;
     v
 
-  (* Replaces the whole contents (checkpoint/snapshot restore). *)
+  (* Replaces the whole contents (checkpoint/snapshot restore); the ring
+     grows if a snapshot holds more tokens than the capacity. *)
   let set_contents t xs =
     Mutex.lock t.bq_notif.Notifier.n_mu;
-    Queue.clear t.bq_q;
-    List.iter (fun x -> Queue.push x t.bq_q) xs;
+    let k = List.length xs in
+    (match xs with
+    | x :: _ when slots t < k ->
+      let fill = if Array.length t.bq_ring = 0 then x else t.bq_ring.(slots t) in
+      t.bq_ring <- Array.make (max t.bq_capacity k + 1) fill
+    | _ -> if Array.length t.bq_ring > 0 then Array.fill t.bq_ring 0 (slots t) t.bq_ring.(slots t));
+    t.bq_head <- 0;
+    t.bq_len <- 0;
+    List.iter (enqueue t) xs;
     Notifier.bump t.bq_notif;
     Mutex.unlock t.bq_notif.Notifier.n_mu
 end

@@ -13,9 +13,6 @@ val width : spec -> int
 
 type token = int array
 
-(** Gathers a token from the channel's ports via [get]. *)
-val token_of_ports : spec -> (string -> int) -> token
-
 (** Gathers a token through one batched read of every port — one
     protocol round trip when the reader proxies a remote engine. *)
 val token_of_ports_batch : spec -> (string list -> int list) -> token
@@ -62,7 +59,9 @@ exception Aborted
 (** Bounded thread-safe token queue (SPSC): producer and consumer
     synchronize on the consumer partition's {!Notifier}.  The software
     analogue of the QSFP channel buffers — backpressure instead of
-    unbounded growth when one partition runs ahead. *)
+    unbounded growth when one partition runs ahead.  Tokens live in a
+    fixed ring of [capacity] slots allocated at the first push, so
+    pushes, in-place reads and drops allocate nothing. *)
 module Bqueue : sig
   type 'a t
 
@@ -82,26 +81,32 @@ module Bqueue : sig
       capacity. *)
   val push : 'a t -> 'a -> block:bool -> abort:(unit -> bool) -> unit
 
-  (** Slab enqueue: the whole batch under one lock with one wakeup bump
-      (one synchronization per K tokens).  With [block], a full queue
-      publishes the prefix already enqueued and waits for space; without,
-      raises {!Full} when the remainder does not fit (the prefix stays
-      enqueued). *)
-  val push_list : 'a t -> 'a list -> block:bool -> abort:(unit -> bool) -> unit
+  (** Slab enqueue of [xs.(0 .. len-1)]: the whole batch under one lock
+      with one wakeup bump (one synchronization per K tokens).  With
+      [block], a full queue publishes the prefix already enqueued and
+      waits for space; without, raises {!Full} when the remainder does
+      not fit (the prefix stays enqueued). *)
+  val push_slab :
+    'a t -> 'a array -> len:int -> block:bool -> abort:(unit -> bool) -> unit
 
   val peek_opt : 'a t -> 'a option
 
-  (** Up to [n] head tokens in queue order, without locking: for
-      sweeps that snapshot several sibling queues under the notifier
-      lock the caller already holds.  O(min n length). *)
-  val peek_upto_unlocked : 'a t -> int -> 'a array
+  (** The [i]-th token from the head (0 = head), in place and in O(1),
+      without locking: sound for the single consumer once it has seen
+      [length > i] (under the notifier lock), since producers only
+      append and only the consumer drops. *)
+  val nth_unlocked : 'a t -> int -> 'a
+
+  (** {!length} without locking: call with the notifier mutex held. *)
+  val length_unlocked : 'a t -> int
 
   (** Drops the head token, waking producers blocked on a full queue. *)
   val drop : 'a t -> unit
 
   (** Pops [n] heads without bumping the notifier: callers batch drops
       across sibling queues under one lock and bump once.  Call with the
-      notifier mutex held and at least [n] elements queued. *)
+      notifier mutex held; raises [Invalid_argument] when fewer than [n]
+      tokens are queued. *)
   val drop_n_unlocked : 'a t -> int -> unit
 
   (** Locked slab drop: [n] heads gone under one lock with one bump. *)

@@ -12,6 +12,12 @@ type t = {
       (** Batched read of several signals, in request order — one
           protocol round trip for remote engines (the per-channel token
           gather), a plain map for local ones. *)
+  bind_inputs : string list -> Channel.token -> unit;
+      (** Resolves the ports once; the result applies a token to them as
+          [set_input] per port would, without per-call lookups. *)
+  bind_outputs : string list -> unit -> Channel.token;
+      (** Resolves the signals once; the result gathers them into a
+          fresh token as [get_ports] would. *)
   eval_comb : unit -> unit;
   step_seq : unit -> unit;
   make_cone_eval : string list -> unit -> unit;
@@ -24,6 +30,30 @@ type t = {
           restores it. *)
 }
 
+(* Bound ports are value slots plus width masks.  The lane arrays are
+   read at call time: {!Rtlsim.Sim.attach_lane} replaces them. *)
+let bind_sim_inputs sim names =
+  let slots = Array.of_list (List.map (Rtlsim.Sim.slot sim) names) in
+  let masks = Array.map (fun i -> Firrtl.Ast.mask sim.Rtlsim.Sim.widths.(i)) slots in
+  fun (tok : Channel.token) ->
+    let lanes = sim.Rtlsim.Sim.lane_values in
+    for l = 0 to Array.length lanes - 1 do
+      let vals = lanes.(l) in
+      for j = 0 to Array.length slots - 1 do
+        vals.(slots.(j)) <- tok.(j) land masks.(j)
+      done
+    done
+
+let bind_sim_outputs sim names =
+  let slots = Array.of_list (List.map (Rtlsim.Sim.slot sim) names) in
+  fun () ->
+    let vals = sim.Rtlsim.Sim.lane_values.(0) in
+    let tok = Array.make (Array.length slots) 0 in
+    for j = 0 to Array.length slots - 1 do
+      tok.(j) <- vals.(slots.(j))
+    done;
+    tok
+
 let of_sim sim =
   let analysis = sim.Rtlsim.Sim.analysis in
   {
@@ -33,6 +63,8 @@ let of_sim sim =
     set_input = Rtlsim.Sim.set_input_all sim;
     get = Rtlsim.Sim.get sim;
     get_ports = List.map (Rtlsim.Sim.get sim);
+    bind_inputs = bind_sim_inputs sim;
+    bind_outputs = bind_sim_outputs sim;
     eval_comb = (fun () -> Rtlsim.Sim.eval_comb sim);
     step_seq = (fun () -> Rtlsim.Sim.step_seq sim);
     make_cone_eval = Rtlsim.Sim.make_cone_eval sim;

@@ -10,6 +10,15 @@ type t = {
           network gathers each fired channel's token through this, so a
           remote engine pays one protocol round trip per CHANNEL (the
           worker's [sample] command) instead of one per port. *)
+  bind_inputs : string list -> Channel.token -> unit;
+      (** Resolves the given input ports once; the returned function
+          applies a token (one value per port, in order) exactly as
+          [set_input] per port would, without per-call name lookups.
+          The network binds each input channel once, at
+          {!Network.add_partition}. *)
+  bind_outputs : string list -> unit -> Channel.token;
+      (** Resolves the given signals once; the returned function gathers
+          them into a fresh token, exactly as [get_ports] would. *)
   eval_comb : unit -> unit;
   step_seq : unit -> unit;
   make_cone_eval : string list -> unit -> unit;

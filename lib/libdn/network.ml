@@ -13,7 +13,7 @@
 
    This module is the passive *topology* — partitions, channels,
    connections, seed tokens — plus the one firing path,
-   {!sweep_batch}, which applies those rules to one partition for up to
+   {!sweep}, which applies those rules to one partition for up to
    K target cycles.  It does not decide WHEN to sweep which partition:
    that is the {!Scheduler}'s job, which sweeps them round-robin in one
    thread or runs groups of them on their own domains.  Tokens are the
@@ -37,6 +37,13 @@ type in_chan = {
   ic_drop_ns : Telemetry.counter;
       (** this channel's share of its partition's locked drops (profile
           level) *)
+  ic_apply : Channel.token -> unit;
+      (** the engine's {!Engine.bind_inputs} for this channel's ports *)
+  mutable ic_avail : int;
+      (** tokens the current sweep may consume (its locked look at the
+          queue, capped by the batch) *)
+  mutable ic_applied : int;
+      (** the sweep step whose token was last applied, [-1] if none *)
 }
 
 type out_chan = {
@@ -47,6 +54,12 @@ type out_chan = {
   mutable oc_dests : (int * int) list;  (** (partition, input channel) *)
   oc_attempts : Telemetry.counter;  (** firing-rule attempts *)
   oc_fires : Telemetry.counter;  (** successful fires *)
+  oc_gather : unit -> Channel.token;
+      (** the engine's {!Engine.bind_outputs} for this channel's ports *)
+  mutable oc_pending : Channel.token array;
+      (** tokens fired this sweep and not yet flushed; grows to the
+          largest batch seen *)
+  mutable oc_npending : int;
 }
 
 type partition = {
@@ -63,7 +76,7 @@ type partition = {
       (** Hook that sets the partition's external (non-channel) inputs
           for the given target cycle. *)
   pt_run_ns : Telemetry.counter;
-      (** [sched.<name>.run_ns]: wall time inside {!sweep_batch},
+      (** [sched.<name>.run_ns]: wall time inside {!sweep},
           exchange included *)
   pt_exchange_ns : Telemetry.counter;
       (** the flushes' share of [run_ns] (profile level) *)
@@ -130,6 +143,7 @@ let add_partition t ~name ~engine ~(ins : Channel.spec list)
     Printf.sprintf "net.%s.out.%s.%s" name chan kind
   in
   let sched_metric kind = Printf.sprintf "sched.%s.%s" name kind in
+  let port_names (spec : Channel.spec) = List.map fst spec.Channel.ports in
   let pt_ins =
     Array.of_list
       (List.map
@@ -147,6 +161,9 @@ let add_partition t ~name ~engine ~(ins : Channel.spec list)
              ic_push_ns = Telemetry.timer t.tel (in_metric chan "push_ns");
              ic_drops = Telemetry.timer t.tel (in_metric chan "drops");
              ic_drop_ns = Telemetry.timer t.tel (in_metric chan "drop_ns");
+             ic_apply = engine.Engine.bind_inputs (port_names spec);
+             ic_avail = 0;
+             ic_applied = -1;
            })
          ins)
   in
@@ -166,11 +183,14 @@ let add_partition t ~name ~engine ~(ins : Channel.spec list)
            {
              oc_spec = spec;
              oc_deps = List.map index_of_in deps;
-             oc_eval = engine.Engine.make_cone_eval (List.map fst spec.Channel.ports);
+             oc_eval = engine.Engine.make_cone_eval (port_names spec);
              oc_fired = false;
              oc_dests = [];
              oc_attempts = Telemetry.counter t.tel (out_metric spec.Channel.name "attempts");
              oc_fires = Telemetry.counter t.tel (out_metric spec.Channel.name "fires");
+             oc_gather = engine.Engine.bind_outputs (port_names spec);
+             oc_pending = [| [||] |];
+             oc_npending = 0;
            })
          outs)
   in
@@ -331,11 +351,39 @@ let introspect t : Telemetry.Snapshot.t =
   in
   { Telemetry.Snapshot.parts }
 
-(* The flush of {!sweep_batch}: drops [k] consumed heads of every input
-   of [p], then pushes each output's pending slab.  At the profile level
-   both are charged to [p]'s exchange time, the locked drop's cost split
-   evenly across the input channels. *)
-let flush t p pending ~k ~block ~abort =
+(* Pushes the [k] pending tokens [toks] into input channel [(dp, di)]
+   with one slab push; its cost lands on the destination channel and on
+   [p]'s exchange time. *)
+let push_pending t p (dp, di) toks k ~block ~abort =
+  let dst = t.frozen.(dp).pt_ins.(di) in
+  let t0 = if t.timed then Telemetry.now_ns t.tel else 0 in
+  Channel.Bqueue.push_slab dst.ic_queue toks ~len:k ~block ~abort;
+  ignore (Atomic.fetch_and_add t.token_transfers k);
+  if t.tel_on then begin
+    let dt = if t.timed then Telemetry.now_ns t.tel - t0 else 0 in
+    Telemetry.add dst.ic_push_ns dt;
+    Telemetry.add p.pt_exchange_ns dt;
+    Telemetry.add dst.ic_enq k;
+    Telemetry.incr dst.ic_pushes;
+    Telemetry.set_max dst.ic_max_batch k;
+    Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
+  end
+
+(* Fan-out beyond the first destination: each extra one gets its own
+   copies, so no two queues share a token array. *)
+let rec push_copies t p dests toks k ~block ~abort =
+  match dests with
+  | [] -> ()
+  | d :: rest ->
+    push_pending t p d (Array.init k (fun j -> Array.copy toks.(j))) k ~block ~abort;
+    push_copies t p rest toks k ~block ~abort
+
+(* The flush of {!sweep}: drops [k] consumed heads of every input of
+   [p], then pushes each output's pending slab — the first destination
+   takes the gathered tokens themselves.  At the profile level both are
+   charged to [p]'s exchange time, the locked drop's cost split evenly
+   across the input channels. *)
+let flush t p ~k ~block ~abort =
   let ni = Array.length p.pt_ins in
   if ni > 0 && k > 0 then begin
     let n = p.pt_notif in
@@ -359,38 +407,56 @@ let flush t p pending ~k ~block ~abort =
     end
   end;
   for oi = 0 to Array.length p.pt_outs - 1 do
-    match pending.(oi) with
-    | [] -> ()
-    | rev_toks ->
-      pending.(oi) <- [];
-      let toks = List.rev rev_toks in
-      let k = List.length toks in
-      List.iter
-        (fun (dp, di) ->
-          let dst = t.frozen.(dp).pt_ins.(di) in
-          let copies = List.map Array.copy toks in
-          let t0 = if t.timed then Telemetry.now_ns t.tel else 0 in
-          Channel.Bqueue.push_list dst.ic_queue copies ~block ~abort;
-          ignore (Atomic.fetch_and_add t.token_transfers k);
-          if t.tel_on then begin
-            (* Push cost lands on the destination channel and on the
-               executing partition's exchange time. *)
-            let dt = if t.timed then Telemetry.now_ns t.tel - t0 else 0 in
-            Telemetry.add dst.ic_push_ns dt;
-            Telemetry.add p.pt_exchange_ns dt;
-            Telemetry.add dst.ic_enq k;
-            Telemetry.incr dst.ic_pushes;
-            Telemetry.set_max dst.ic_max_batch k;
-            Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
-          end)
-        p.pt_outs.(oi).oc_dests
+    let oc = p.pt_outs.(oi) in
+    let k = oc.oc_npending in
+    if k > 0 then begin
+      oc.oc_npending <- 0;
+      (match oc.oc_dests with
+      | [] -> ()
+      | first :: extra ->
+        push_pending t p first oc.oc_pending k ~block ~abort;
+        push_copies t p extra oc.oc_pending k ~block ~abort);
+      (* Dead slots must not keep tokens reachable from this long-lived
+         buffer. *)
+      Array.fill oc.oc_pending 0 k [||]
+    end
   done
+
+(* Forgets [oc]'s fired-but-unflushed tokens.  Only a sweep that raised
+   (a dead remote worker in a gather, an abort partway through
+   {!flush}) leaves any behind; they belong to the failed call and must
+   not reach a consumer after a retry or a {!restore}. *)
+let discard_pending oc =
+  Array.fill oc.oc_pending 0 oc.oc_npending [||];
+  oc.oc_npending <- 0
+
+(* The firing-rule helpers of {!sweep}, top-level so a sweep allocates
+   no closures.  Input [i]'s token for sweep step [step] is the
+   [step]-th head of its queue, read in place. *)
+let rec deps_ready ins step = function
+  | [] -> true
+  | i :: rest -> ins.(i).ic_avail > step && deps_ready ins step rest
+
+(* Applies [ic]'s token for [step] to the engine, at most once. *)
+let apply_once ic step =
+  if ic.ic_applied < step then begin
+    ic.ic_applied <- step;
+    ic.ic_apply (Channel.Bqueue.nth_unlocked ic.ic_queue step)
+  end
+
+let rec apply_deps ins step = function
+  | [] -> ()
+  | i :: rest ->
+    apply_once ins.(i) step;
+    apply_deps ins step rest
+
+let no_progress = -1
 
 (** The one firing path — the software generalization of the paper's
     fast-mode crossing amortization: fire and advance partition [p] for
     up to [max_cycles] consecutive target cycles (never past [limit])
-    from ONE snapshot of its input queues, so a batch costs one locked
-    snapshot, a locked multi-drop and one slab push per destination
+    from ONE locked look at its input queues, so a batch costs one
+    locked look, a locked multi-drop and one slab push per destination
     queue instead of that much synchronization PER CYCLE.
 
     Equivalence with per-cycle exchange is by construction: the LI-BDN
@@ -402,93 +468,99 @@ let flush t p pending ~k ~block ~abort =
     slack is precisely what lets a batch run longer than one cycle).
 
     Internals:
-    - ONE notifier lock snapshots up to [max_cycles] tokens per input
-      channel.  Sound because this partition's domain is the sole
-      consumer: snapshot heads stay the heads until we drop them, and a
-      token pushed after the snapshot bumps the notifier version, which
-      forces the scheduler to sweep again before it parks.
+    - ONE notifier lock reads how many tokens (up to the batch) each
+      input channel holds.  Sound because this partition's domain is the
+      sole consumer: those heads stay the heads until we drop them, and
+      are read in place ({!Channel.Bqueue.nth_unlocked}); a token pushed
+      after the look bumps the notifier version, which forces the
+      scheduler to sweep again before it parks.
     - A local loop fires ready outputs and advances the fireFSM, taking
-      one head per input from the snapshot per cycle; each head is
-      applied to the engine at most once, and produced tokens
-      accumulate in per-output pending slabs.  Self-destined tokens are deferred too:
-      the snapshot predates them, so the next call picks them up.
+      one head per input per cycle through the engine's bound ports;
+      each head is applied at most once, and produced tokens accumulate
+      in per-output pending buffers.  Self-destined tokens are deferred
+      too: the look predates them, so the next call picks them up.
     - Flush: the consumed heads are dropped under one lock with a single
       wakeup bump (freeing space first is what keeps two mutually-full
       partitions from blocking on each other's flushes), then each
-      pending slab is pushed with one {!Channel.Bqueue.push_list} per
+      pending buffer is pushed with one {!Channel.Bqueue.push_slab} per
       destination.  The batch flushes just before its LAST advance — so
       consumers overlap the most expensive step, [eval_comb]/[step_seq]
       — and once more on return.  At [max_cycles = 1] that is the
       per-cycle order: push, advance, drop.
 
-    Returns [(cycles_advanced, any_progress)]; no pending state survives
-    the call, so quiescence checks, checkpoints and introspection stay
-    sound unchanged. *)
-let sweep_batch t p ~limit ~max_cycles ~block ~abort =
+    Allocation: the gathered tokens (plus a copy per extra fan-out
+    destination) are all a sweep allocates.  Returns the cycles
+    advanced, or {!no_progress} when the sweep neither fired an output
+    nor advanced.  No pending state survives the call, so quiescence
+    checks, checkpoints and introspection stay sound unchanged; a call
+    that raises leaves its unflushed tokens behind, and the next sweep
+    (or a {!restore}) discards them, so they never reach a consumer. *)
+let sweep t p ~limit ~max_cycles ~block ~abort =
   freeze t;
-  let t_start = Telemetry.now_ns t.tel in
+  let t_start = if t.tel_on then Telemetry.now_ns t.tel else 0 in
   let budget = min max_cycles (limit - p.pt_cycle) in
-  let n = p.pt_notif in
-  let ni = Array.length p.pt_ins in
-  let heads =
-    if ni = 0 then [||]
-    else begin
-      Mutex.lock n.Channel.Notifier.n_mu;
-      let hs =
-        Array.map (fun ic -> Channel.Bqueue.peek_upto_unlocked ic.ic_queue budget) p.pt_ins
-      in
-      Mutex.unlock n.Channel.Notifier.n_mu;
-      hs
-    end
-  in
-  (* [heads.(i).(advanced)] is input [i]'s token for the current cycle;
-     [applied.(i)] the cycle it was last applied to the engine. *)
-  let applied = Array.make ni (-1) in
-  let pending = Array.make (Array.length p.pt_outs) [] in
+  let ins = p.pt_ins and outs = p.pt_outs in
+  let ni = Array.length ins and no = Array.length outs in
+  (* One fire per output per step, and a source output may fire even
+     with no step left. *)
+  let room = max 1 budget in
+  for oi = 0 to no - 1 do
+    let oc = outs.(oi) in
+    if oc.oc_npending > 0 then discard_pending oc;
+    if Array.length oc.oc_pending < room then oc.oc_pending <- Array.make room [||]
+  done;
+  if ni > 0 then begin
+    let n = p.pt_notif in
+    Mutex.lock n.Channel.Notifier.n_mu;
+    for i = 0 to ni - 1 do
+      let ic = ins.(i) in
+      ic.ic_avail <- max 0 (min budget (Channel.Bqueue.length_unlocked ic.ic_queue));
+      ic.ic_applied <- -1
+    done;
+    Mutex.unlock n.Channel.Notifier.n_mu
+  end;
   let progress = ref false in
   let advanced = ref 0 in
   let dropped = ref 0 in
-  let avail i = !advanced < Array.length heads.(i) in
-  let apply_once i =
-    if applied.(i) < !advanced then begin
-      applied.(i) <- !advanced;
-      Channel.apply_token p.pt_ins.(i).ic_spec p.pt_engine.Engine.set_input
-        heads.(i).(!advanced)
-    end
-  in
   let continue_ = ref true in
   while !continue_ do
     let step = !advanced in
-    for oi = 0 to Array.length p.pt_outs - 1 do
-      let oc = p.pt_outs.(oi) in
-      Telemetry.incr oc.oc_attempts;
-      if (not oc.oc_fired) && List.for_all avail oc.oc_deps then begin
-        List.iter apply_once oc.oc_deps;
+    let all_fired = ref true in
+    for oi = 0 to no - 1 do
+      let oc = outs.(oi) in
+      if t.tel_on then Telemetry.incr oc.oc_attempts;
+      if (not oc.oc_fired) && deps_ready ins step oc.oc_deps then begin
+        apply_deps ins step oc.oc_deps;
         oc.oc_eval ();
-        let tok = Channel.token_of_ports_batch oc.oc_spec p.pt_engine.Engine.get_ports in
+        let tok = oc.oc_gather () in
         oc.oc_fired <- true;
-        if oc.oc_dests <> [] then pending.(oi) <- tok :: pending.(oi);
-        Telemetry.incr oc.oc_fires;
+        if oc.oc_dests <> [] then begin
+          oc.oc_pending.(oc.oc_npending) <- tok;
+          oc.oc_npending <- oc.oc_npending + 1
+        end;
+        if t.tel_on then Telemetry.incr oc.oc_fires;
         progress := true
-      end
+      end;
+      if not oc.oc_fired then all_fired := false
     done;
     let all_inputs = ref true in
     for i = 0 to ni - 1 do
-      if not (avail i) then all_inputs := false
+      if ins.(i).ic_avail <= step then all_inputs := false
     done;
-    continue_ :=
-      step < budget && !all_inputs && Array.for_all (fun oc -> oc.oc_fired) p.pt_outs;
+    continue_ := step < budget && !all_inputs && !all_fired;
     if !continue_ then begin
       for i = 0 to ni - 1 do
-        apply_once i
+        apply_once ins.(i) step
       done;
       if step + 1 = budget then begin
-        flush t p pending ~k:step ~block ~abort;
+        flush t p ~k:step ~block ~abort;
         dropped := step
       end;
       p.pt_engine.Engine.eval_comb ();
       p.pt_engine.Engine.step_seq ();
-      Array.iter (fun oc -> oc.oc_fired <- false) p.pt_outs;
+      for oi = 0 to no - 1 do
+        outs.(oi).oc_fired <- false
+      done;
       p.pt_cycle <- p.pt_cycle + 1;
       incr advanced;
       progress := true;
@@ -496,12 +568,16 @@ let sweep_batch t p ~limit ~max_cycles ~block ~abort =
       continue_ := !advanced < budget
     end
   done;
-  flush t p pending ~k:(!advanced - !dropped) ~block ~abort;
+  flush t p ~k:(!advanced - !dropped) ~block ~abort;
   if t.tel_on then begin
     Telemetry.add p.pt_run_ns (Telemetry.now_ns t.tel - t_start);
     Telemetry.add p.pt_cycles !advanced
   end;
-  (!advanced, !progress)
+  if !progress then !advanced else no_progress
+
+let sweep_batch t p ~limit ~max_cycles ~block ~abort =
+  let r = sweep t p ~limit ~max_cycles ~block ~abort in
+  (max 0 r, r <> no_progress)
 
 (* ------------------------------------------------------------------ *)
 (* Quiescence (deadlock detection)                                     *)
@@ -509,7 +585,7 @@ let sweep_batch t p ~limit ~max_cycles ~block ~abort =
 
 (* Whether the firing rules permit [p] any state transition, judged
    purely from token availability and fired flags — the same conditions
-   {!sweep_batch} tests before touching the engine.  Reads
+   {!sweep} tests before touching the engine.  Reads
    are unsynchronized: only call when every domain that could mutate the
    state is parked (all-blocked in the parallel scheduler, or trivially
    in the sequential one). *)
@@ -626,7 +702,12 @@ let restore t sn =
         (fun j toks ->
           Channel.Bqueue.set_contents p.pt_ins.(j).ic_queue (List.map Array.copy toks))
         queues;
-      Array.iteri (fun j f -> p.pt_outs.(j).oc_fired <- f) fired;
+      Array.iteri
+        (fun j f ->
+          let oc = p.pt_outs.(j) in
+          discard_pending oc;
+          oc.oc_fired <- f)
+        fired;
       p.pt_cycle <- cycle)
     t.frozen;
   Atomic.set t.token_transfers sn.sn_transfers

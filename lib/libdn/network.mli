@@ -5,7 +5,7 @@
     outputs have fired.
 
     This module is the passive topology plus the one firing path,
-    {!sweep_batch}; deciding when to sweep which partition belongs to
+    {!sweep}; deciding when to sweep which partition belongs to
     {!Scheduler}, which sweeps them in one thread or runs groups of them
     on their own domains. *)
 
@@ -21,6 +21,10 @@ type in_chan = {
   ic_push_ns : Telemetry.counter;
   ic_drops : Telemetry.counter;
   ic_drop_ns : Telemetry.counter;
+  ic_apply : Channel.token -> unit;
+      (** the engine's {!Engine.bind_inputs} for this channel's ports *)
+  mutable ic_avail : int;  (** tokens the running sweep may consume *)
+  mutable ic_applied : int;  (** sweep step last applied, [-1] if none *)
 }
 
 type out_chan = {
@@ -31,6 +35,11 @@ type out_chan = {
   mutable oc_dests : (int * int) list;
   oc_attempts : Telemetry.counter;
   oc_fires : Telemetry.counter;
+  oc_gather : unit -> Channel.token;
+      (** the engine's {!Engine.bind_outputs} for this channel's ports *)
+  mutable oc_pending : Channel.token array;
+      (** tokens fired by the running sweep, not yet flushed *)
+  mutable oc_npending : int;
 }
 
 type partition = {
@@ -57,7 +66,7 @@ exception Deadlock of string
     [telemetry] (default {!Telemetry.null}, free on the hot path) makes
     every channel register [net.<part>.in|out.<chan>.*] counters and
     gauges and every partition its [sched.<part>.*] phase counters;
-    {!sweep_batch} charges its wall time to [run_ns] and, on a
+    {!sweep} charges its wall time to [run_ns] and, on a
     profiling sink, its flushes to [exchange_ns] and the per-channel
     [pushes]/[push_ns]/[drops]/[drop_ns]. *)
 val create : ?queue_capacity:int -> ?telemetry:Telemetry.t -> unit -> t
@@ -69,8 +78,10 @@ val default_queue_capacity : int
 val telemetry : t -> Telemetry.t
 
 (** Declares a partition; [outs] pairs each output channel with the
-    names of the input channels it combinationally depends on.  Returns
-    the partition index.  Add all partitions before connecting. *)
+    names of the input channels it combinationally depends on.  Every
+    channel's ports are bound to [engine] here, once
+    ({!Engine.bind_inputs}/{!Engine.bind_outputs}).  Returns the
+    partition index.  Add all partitions before connecting. *)
 val add_partition :
   t ->
   name:string ->
@@ -84,7 +95,9 @@ val partition : t -> int -> partition
 (** All partitions, in declaration order (freezes the topology). *)
 val partitions : t -> partition array
 
-(** Connects an output channel to an input channel; fan-out allowed. *)
+(** Connects an output channel to an input channel; fan-out allowed:
+    the first destination takes the gathered tokens, every other one
+    gets its own copies. *)
 val connect : t -> src:int * string -> dst:int * string -> unit
 
 (** Pre-loads a token (fast-mode seeding, §III-A2). *)
@@ -121,17 +134,33 @@ val introspect : t -> Telemetry.Snapshot.t
 (** The one firing path — the software generalization of the paper's
     fast-mode crossing amortization: fires and advances [p] for up to
     [max_cycles] consecutive target cycles (never past [limit]) from
-    ONE locked snapshot of its input queues, deferring produced tokens
-    into per-output slabs.  The slabs are flushed (consumed heads
-    dropped under one lock, then one {!Channel.Bqueue.push_list} per
-    destination) just before the batch's last advance and again on
-    return, so at [max_cycles = 1] a consumer already holds this
-    cycle's tokens while the engine steps.  [block] selects
-    backpressure on a full destination queue: wait (the parallel
-    scheduler) or raise {!Channel.Bqueue.Full}; [abort] lets a blocked
-    push bail out.  Bit-exact vs per-cycle exchange by LI-BDN determinism.
-    No pending state survives the call.  Returns
-    [(cycles_advanced, any_progress)]. *)
+    ONE locked look at its input queues, reading their heads in place
+    and deferring produced tokens into per-output pending buffers.
+    The buffers are flushed (consumed heads dropped under one lock, then
+    one {!Channel.Bqueue.push_slab} per destination) just before the
+    batch's last advance and again on return, so at [max_cycles = 1] a
+    consumer already holds this cycle's tokens while the engine steps.
+    [block] selects backpressure on a full destination queue: wait (the
+    parallel scheduler) or raise {!Channel.Bqueue.Full}; [abort] lets a
+    blocked push bail out.  Bit-exact vs per-cycle exchange by LI-BDN
+    determinism.  With telemetry off, the gathered tokens (and a copy per
+    extra fan-out destination) are all it allocates.  No pending state
+    survives a call that returns; the unflushed tokens of a call that
+    raises are discarded by the next sweep or {!restore}.  Returns the cycles advanced, or {!no_progress}
+    when it neither fired an output nor advanced. *)
+val sweep :
+  t ->
+  partition ->
+  limit:int ->
+  max_cycles:int ->
+  block:bool ->
+  abort:(unit -> bool) ->
+  int
+
+(** [-1]: what {!sweep} returns when it made no progress. *)
+val no_progress : int
+
+(** {!sweep} with its result as [(cycles_advanced, any_progress)]. *)
 val sweep_batch :
   t ->
   partition ->
@@ -179,5 +208,6 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-(** Restores a snapshot into a network of the same shape (same plan). *)
+(** Restores a snapshot into a network of the same shape (same plan),
+    discarding any tokens a failed {!sweep} left unflushed. *)
 val restore : t -> snapshot -> unit

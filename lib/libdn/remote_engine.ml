@@ -343,29 +343,31 @@ let lanes conn = ask_int conn "lanes"
 (** Whether the remote unit holds a signal or memory of that name. *)
 let has conn name = ask_int conn "has %s" name <> 0
 
+(* One [sample] request already rendered as [line], expecting [n]
+   values back. *)
+let sample_line conn line n =
+  let reply = ask conn "%s" line in
+  let values =
+    Wire.words reply
+    |> List.map (fun s ->
+           match int_of_string_opt s with
+           | Some v -> v
+           | None ->
+             failwith (Printf.sprintf "remote engine: bad sample reply %S to %S" reply line))
+  in
+  if List.length values <> n then
+    failwith
+      (Printf.sprintf "remote engine: sample reply has %d values for %d names"
+         (List.length values) n);
+  values
+
 (** Reads many remote signals in ONE round trip (the waveform-capture
     hot path: per-cycle sampling pays one RTT per worker, not one per
     signal).  Values come back in request order. *)
 let sample conn names =
   match names with
   | [] -> []
-  | _ ->
-    let line = "sample " ^ String.concat " " names in
-    let reply = ask conn "%s" line in
-    let values =
-      Wire.words reply
-      |> List.map (fun s ->
-             match int_of_string_opt s with
-             | Some v -> v
-             | None ->
-               failwith
-                 (Printf.sprintf "remote engine: bad sample reply %S to %S" reply line))
-    in
-    if List.length values <> List.length names then
-      failwith
-        (Printf.sprintf "remote engine: sample reply has %d values for %d names"
-           (List.length values) (List.length names));
-    values
+  | _ -> sample_line conn ("sample " ^ String.concat " " names) (List.length names)
 
 (** The width in bits of a remote SIGNAL; [None] when the worker holds
     no signal of that name (memories included — they cannot be
@@ -442,6 +444,20 @@ let engine conn =
        between gathers, so a K-cycle batch pays K round trips per
        output channel, not K x ports. *)
     get_ports = (fun names -> sample conn names);
+    (* Bound ports pre-render their protocol text: [set <port> ] per
+       input, the whole [sample] line per output channel. *)
+    bind_inputs =
+      (fun names ->
+        let prefixes = Array.of_list (List.map (fun n -> "set " ^ n ^ " ") names) in
+        fun tok ->
+          Array.iteri (fun j pre -> write_line conn (pre ^ string_of_int tok.(j))) prefixes);
+    bind_outputs =
+      (fun names ->
+        match names with
+        | [] -> fun () -> [||]
+        | _ ->
+          let line = "sample " ^ String.concat " " names and n = List.length names in
+          fun () -> Array.of_list (sample_line conn line n));
     eval_comb = (fun () -> send conn "eval");
     step_seq = (fun () -> send conn "step");
     make_cone_eval =

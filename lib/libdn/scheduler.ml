@@ -2,7 +2,7 @@
 
    The LI-BDN firing rules make token streams deterministic regardless
    of attempt order, so any policy that keeps sweeping partitions
-   through {!Network.sweep_batch} — the one firing path — until every
+   through {!Network.sweep} — the one firing path — until every
    partition reaches the target cycle computes the same register state.
    Two policies are provided:
 
@@ -106,6 +106,13 @@ let pack ~weights ~domains =
 (* Sequential                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Whether any of [parts] from index [i] on is short of [cycles]; a
+   top-level loop because [Array.exists] allocates a closure per call
+   and the schedulers ask once per round. *)
+let rec behind parts ~cycles i =
+  i < Array.length parts
+  && (parts.(i).Network.pt_cycle < cycles || behind parts ~cycles (i + 1))
+
 (* Round-robin sweeps until every partition reaches [cycles].  With
    telemetry on, each visit that finds a partition unable to progress
    books one stall on its blocking input channel, and the section's wall
@@ -116,22 +123,21 @@ let run_seq ?(batch_cycles = default_batch_cycles) net ~cycles =
   let on = Telemetry.enabled tel in
   let sweeps = Telemetry.counter tel "sched.seq.sweeps" in
   let t_start = Telemetry.now_ns tel in
-  let behind () = Array.exists (fun p -> p.Network.pt_cycle < cycles) parts in
-  while behind () do
+  while behind parts ~cycles 0 do
     Telemetry.incr sweeps;
     let progress = ref false in
-    Array.iter
-      (fun p ->
-        if p.Network.pt_cycle < cycles then begin
-          let _, prog =
-            Network.sweep_batch net p ~limit:cycles ~max_cycles:batch_cycles
-              ~block:false ~abort:never_abort
-          in
-          if prog then progress := true
-          else if on then ignore (Network.record_stall p)
-        end)
-      parts;
-    if (not !progress) && behind () then begin
+    for i = 0 to Array.length parts - 1 do
+      let p = parts.(i) in
+      if p.Network.pt_cycle < cycles then begin
+        if
+          Network.sweep net p ~limit:cycles ~max_cycles:batch_cycles ~block:false
+            ~abort:never_abort
+          <> Network.no_progress
+        then progress := true
+        else if on then ignore (Network.record_stall p)
+      end
+    done;
+    if (not !progress) && behind parts ~cycles 0 then begin
       (* A no-progress sweep implies quiescence; the check is the
          authoritative judgment shared with the parallel scheduler. *)
       assert (Network.quiescent net ~target:cycles);
@@ -331,20 +337,18 @@ let par_worker net mon ps ws ~cycles ~started ~finished ~slot ~spin ~batch_cycle
   let budget = ref spin_initial in
   let batch = Array.map (fun _ -> ref 1) ps in
   let blocked = Array.make (Array.length ps) None in
-  let unfinished () = Array.exists (fun p -> p.Network.pt_cycle < cycles) ps in
   let round () =
     let progress = ref false in
-    Array.iteri
-      (fun i p ->
-        if p.Network.pt_cycle < cycles then begin
-          let advanced, prog =
-            Network.sweep_batch net p ~limit:cycles ~max_cycles:!(batch.(i))
-              ~block:true ~abort
-          in
-          adapt_batch batch.(i) ~cap:batch_cycles ~advanced;
-          if prog then progress := true
-        end)
-      ps;
+    for i = 0 to Array.length ps - 1 do
+      let p = ps.(i) in
+      if p.Network.pt_cycle < cycles then begin
+        let r =
+          Network.sweep net p ~limit:cycles ~max_cycles:!(batch.(i)) ~block:true ~abort
+        in
+        adapt_batch batch.(i) ~cap:batch_cycles ~advanced:(max 0 r);
+        if r <> Network.no_progress then progress := true
+      end
+    done;
     !progress
   in
   let charge counter n = Array.iter (fun w -> Telemetry.add (counter w) n) ws in
@@ -394,7 +398,7 @@ let par_worker net mon ps ws ~cycles ~started ~finished ~slot ~spin ~batch_cycle
     end
   in
   (try
-     while unfinished () && not (abort ()) do
+     while behind ps ~cycles 0 && not (abort ()) do
        let seen = Channel.Notifier.version notif in
        if not (round ()) then idle ~seen
      done

@@ -14,7 +14,7 @@
       unprofiled parallel run is a sequential run.
 
     Both sweep partitions through the one firing path,
-    {!Network.sweep_batch}.
+    {!Network.sweep}.
 
     Deadlock (Fig. 2a) is detected in both by the same authoritative
     quiescence check ({!Network.quiescent}). *)
@@ -41,7 +41,7 @@ val default_batch_cycles : int
     {!Network.Deadlock} if the network quiesces short of the target.
 
     [batch_cycles] caps cycle-batched token exchange
-    ({!Network.sweep_batch}): partitions fire/advance up to that many
+    ({!Network.sweep}): partitions fire/advance up to that many
     consecutive target cycles per synchronization.  The parallel policy
     adapts the actual batch depth per partition within the cap —
     starting at 1, doubling while batches run their full budget,

@@ -609,8 +609,10 @@ let lane_mem t ~lane name =
 let rec parity acc v = if v = 0 then acc else parity (acc lxor (v land 1)) (v lsr 1)
 
 (* The dispatch loop: a dense integer match (one jump-table dispatch
-   per instruction) with every operand read written out inline — no
-   closures, no allocation anywhere in the loop.  The literal patterns
+   per instruction) with every operand read written out inline.  It
+   loops over a local program counter rather than recursing through a
+   local function, whose closure would cost a dozen words per call: a
+   pass allocates nothing.  The literal patterns
    mirror the op_* definitions above in order.  [code] reads are unsafe
    (the compiler only emits in-bounds program counters); value-array
    accesses are unsafe too — every slot index was derived from the
@@ -622,242 +624,241 @@ let exec t ~lane code start stop =
   let w_fire = Array.unsafe_get t.bc_w_fire lane in
   let w_idx = Array.unsafe_get t.bc_w_idx lane in
   let w_val = Array.unsafe_get t.bc_w_val lane in
-  let rec go p =
-    if p < stop then begin
-      let dst = Array.unsafe_get code (p + 1) in
-      match Array.unsafe_get code p with
-      | 0 ->
-        (* const: dst imm *)
-        Array.unsafe_set vals dst (Array.unsafe_get code (p + 2));
-        go (p + 3)
-      | 1 ->
-        (* mov: dst a *)
-        Array.unsafe_set vals dst (Array.unsafe_get vals (Array.unsafe_get code (p + 2)));
-        go (p + 3)
-      | 2 ->
-        (* mask: dst a m *)
-        Array.unsafe_set vals dst
-          (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-          land Array.unsafe_get code (p + 3));
-        go (p + 4)
-      | 3 ->
-        (* mux: dst c a b *)
-        Array.unsafe_set vals dst
-          (if Array.unsafe_get vals (Array.unsafe_get code (p + 2)) <> 0 then
-             Array.unsafe_get vals (Array.unsafe_get code (p + 3))
-           else Array.unsafe_get vals (Array.unsafe_get code (p + 4)));
-        go (p + 5)
-      | 4 ->
-        (* add: dst a b m *)
-        Array.unsafe_set vals dst
-          ((Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-           + Array.unsafe_get vals (Array.unsafe_get code (p + 3)))
-          land Array.unsafe_get code (p + 4));
-        go (p + 5)
-      | 5 ->
-        (* sub: dst a b m *)
-        Array.unsafe_set vals dst
-          ((Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-           - Array.unsafe_get vals (Array.unsafe_get code (p + 3)))
-          land Array.unsafe_get code (p + 4));
-        go (p + 5)
-      | 6 ->
-        (* mul: dst a b m *)
-        Array.unsafe_set vals dst
-          (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-           * Array.unsafe_get vals (Array.unsafe_get code (p + 3))
-          land Array.unsafe_get code (p + 4));
-        go (p + 5)
-      | 7 ->
-        (* div: dst a b *)
-        let b = Array.unsafe_get vals (Array.unsafe_get code (p + 3)) in
-        Array.unsafe_set vals dst
-          (if b = 0 then 0 else Array.unsafe_get vals (Array.unsafe_get code (p + 2)) / b);
-        go (p + 4)
-      | 8 ->
-        (* rem: dst a b *)
-        let b = Array.unsafe_get vals (Array.unsafe_get code (p + 3)) in
-        Array.unsafe_set vals dst
-          (if b = 0 then 0
-           else Array.unsafe_get vals (Array.unsafe_get code (p + 2)) mod b);
-        go (p + 4)
-      | 9 ->
-        (* and: dst a b *)
-        Array.unsafe_set vals dst
-          (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-          land Array.unsafe_get vals (Array.unsafe_get code (p + 3)));
-        go (p + 4)
-      | 10 ->
-        (* or: dst a b *)
-        Array.unsafe_set vals dst
-          (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-          lor Array.unsafe_get vals (Array.unsafe_get code (p + 3)));
-        go (p + 4)
-      | 11 ->
-        (* xor: dst a b *)
-        Array.unsafe_set vals dst
-          (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-          lxor Array.unsafe_get vals (Array.unsafe_get code (p + 3)));
-        go (p + 4)
-      | 12 ->
-        (* shl: dst a b m *)
-        let b = Array.unsafe_get vals (Array.unsafe_get code (p + 3)) in
-        Array.unsafe_set vals dst
-          (if b > Ast.max_width then 0
-           else
-             Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-             lsl b
-             land Array.unsafe_get code (p + 4));
-        go (p + 5)
-      | 13 ->
-        (* shr: dst a b *)
-        let b = Array.unsafe_get vals (Array.unsafe_get code (p + 3)) in
-        Array.unsafe_set vals dst
-          (if b > Ast.max_width then 0
-           else Array.unsafe_get vals (Array.unsafe_get code (p + 2)) lsr b);
-        go (p + 4)
-      | 14 ->
-        (* eq: dst a b *)
-        Array.unsafe_set vals dst
-          (if
-             Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-             = Array.unsafe_get vals (Array.unsafe_get code (p + 3))
-           then 1
-           else 0);
-        go (p + 4)
-      | 15 ->
-        (* neq: dst a b *)
-        Array.unsafe_set vals dst
-          (if
-             Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-             <> Array.unsafe_get vals (Array.unsafe_get code (p + 3))
-           then 1
-           else 0);
-        go (p + 4)
-      | 16 ->
-        (* lt: dst a b *)
-        Array.unsafe_set vals dst
-          (if
-             Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-             < Array.unsafe_get vals (Array.unsafe_get code (p + 3))
-           then 1
-           else 0);
-        go (p + 4)
-      | 17 ->
-        (* le: dst a b *)
-        Array.unsafe_set vals dst
-          (if
-             Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-             <= Array.unsafe_get vals (Array.unsafe_get code (p + 3))
-           then 1
-           else 0);
-        go (p + 4)
-      | 18 ->
-        (* gt: dst a b *)
-        Array.unsafe_set vals dst
-          (if
-             Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-             > Array.unsafe_get vals (Array.unsafe_get code (p + 3))
-           then 1
-           else 0);
-        go (p + 4)
-      | 19 ->
-        (* ge: dst a b *)
-        Array.unsafe_set vals dst
-          (if
-             Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-             >= Array.unsafe_get vals (Array.unsafe_get code (p + 3))
-           then 1
-           else 0);
-        go (p + 4)
-      | 20 ->
-        (* not: dst a m *)
-        Array.unsafe_set vals dst
-          (lnot (Array.unsafe_get vals (Array.unsafe_get code (p + 2)))
-          land Array.unsafe_get code (p + 3));
-        go (p + 4)
-      | 21 ->
-        (* neg: dst a m *)
-        Array.unsafe_set vals dst
-          (-Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-          land Array.unsafe_get code (p + 3));
-        go (p + 4)
-      | 22 ->
-        (* andr: dst a m *)
-        Array.unsafe_set vals dst
-          (if
-             Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-             = Array.unsafe_get code (p + 3)
-           then 1
-           else 0);
-        go (p + 4)
-      | 23 ->
-        (* orr: dst a *)
-        Array.unsafe_set vals dst
-          (if Array.unsafe_get vals (Array.unsafe_get code (p + 2)) <> 0 then 1 else 0);
-        go (p + 3)
-      | 24 ->
-        (* xorr: dst a *)
-        Array.unsafe_set vals dst
-          (parity 0 (Array.unsafe_get vals (Array.unsafe_get code (p + 2))));
-        go (p + 3)
-      | 25 ->
-        (* bits: dst a lo m *)
-        Array.unsafe_set vals dst
-          (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-           lsr Array.unsafe_get code (p + 3)
-          land Array.unsafe_get code (p + 4));
-        go (p + 5)
-      | 26 ->
-        (* cat: dst a b wb *)
-        Array.unsafe_set vals dst
-          (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
-           lsl Array.unsafe_get code (p + 4)
-          lor Array.unsafe_get vals (Array.unsafe_get code (p + 3)));
-        go (p + 5)
-      | 27 ->
-        (* read: dst mem a *)
-        let arr = Array.unsafe_get mems (Array.unsafe_get code (p + 2)) in
-        Array.unsafe_set vals dst
-          (Array.unsafe_get arr
-             (Array.unsafe_get vals (Array.unsafe_get code (p + 3)) mod Array.length arr));
-        go (p + 4)
-      | 28 ->
-        (* stage: r a *)
-        Array.unsafe_set staging dst
-          (Array.unsafe_get vals (Array.unsafe_get code (p + 2)));
-        go (p + 3)
-      | 29 ->
-        (* stage_en: r a en slot *)
-        Array.unsafe_set staging dst
-          (if Array.unsafe_get vals (Array.unsafe_get code (p + 3)) = 0 then
-             Array.unsafe_get vals (Array.unsafe_get code (p + 4))
-           else Array.unsafe_get vals (Array.unsafe_get code (p + 2)));
-        go (p + 5)
-      | 30 ->
-        (* wstage: j en a d depth *)
-        if Array.unsafe_get vals (Array.unsafe_get code (p + 2)) <> 0 then begin
-          Array.unsafe_set w_fire dst true;
-          let a = Array.unsafe_get vals (Array.unsafe_get code (p + 3)) in
-          let depth = Array.unsafe_get code (p + 5) in
-          if a >= depth then Telemetry.incr t.bc_wrapped;
-          Array.unsafe_set w_idx dst (a mod depth);
-          Array.unsafe_set w_val dst
-            (Array.unsafe_get vals (Array.unsafe_get code (p + 4)))
-        end
-        else Array.unsafe_set w_fire dst false;
-        go (p + 6)
-      | _ ->
-        (* read_p2: dst mem a m *)
-        let arr = Array.unsafe_get mems (Array.unsafe_get code (p + 2)) in
-        Array.unsafe_set vals dst
-          (Array.unsafe_get arr
-             (Array.unsafe_get vals (Array.unsafe_get code (p + 3))
-             land Array.unsafe_get code (p + 4)));
-        go (p + 5)
-    end
-  in
-  go start
+  let pc = ref start in
+  while !pc < stop do
+    let p = !pc in
+    let dst = Array.unsafe_get code (p + 1) in
+    match Array.unsafe_get code p with
+    | 0 ->
+      (* const: dst imm *)
+      Array.unsafe_set vals dst (Array.unsafe_get code (p + 2));
+      pc := p + 3
+    | 1 ->
+      (* mov: dst a *)
+      Array.unsafe_set vals dst (Array.unsafe_get vals (Array.unsafe_get code (p + 2)));
+      pc := p + 3
+    | 2 ->
+      (* mask: dst a m *)
+      Array.unsafe_set vals dst
+        (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+        land Array.unsafe_get code (p + 3));
+      pc := p + 4
+    | 3 ->
+      (* mux: dst c a b *)
+      Array.unsafe_set vals dst
+        (if Array.unsafe_get vals (Array.unsafe_get code (p + 2)) <> 0 then
+           Array.unsafe_get vals (Array.unsafe_get code (p + 3))
+         else Array.unsafe_get vals (Array.unsafe_get code (p + 4)));
+      pc := p + 5
+    | 4 ->
+      (* add: dst a b m *)
+      Array.unsafe_set vals dst
+        ((Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+         + Array.unsafe_get vals (Array.unsafe_get code (p + 3)))
+        land Array.unsafe_get code (p + 4));
+      pc := p + 5
+    | 5 ->
+      (* sub: dst a b m *)
+      Array.unsafe_set vals dst
+        ((Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+         - Array.unsafe_get vals (Array.unsafe_get code (p + 3)))
+        land Array.unsafe_get code (p + 4));
+      pc := p + 5
+    | 6 ->
+      (* mul: dst a b m *)
+      Array.unsafe_set vals dst
+        (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+         * Array.unsafe_get vals (Array.unsafe_get code (p + 3))
+        land Array.unsafe_get code (p + 4));
+      pc := p + 5
+    | 7 ->
+      (* div: dst a b *)
+      let b = Array.unsafe_get vals (Array.unsafe_get code (p + 3)) in
+      Array.unsafe_set vals dst
+        (if b = 0 then 0 else Array.unsafe_get vals (Array.unsafe_get code (p + 2)) / b);
+      pc := p + 4
+    | 8 ->
+      (* rem: dst a b *)
+      let b = Array.unsafe_get vals (Array.unsafe_get code (p + 3)) in
+      Array.unsafe_set vals dst
+        (if b = 0 then 0
+         else Array.unsafe_get vals (Array.unsafe_get code (p + 2)) mod b);
+      pc := p + 4
+    | 9 ->
+      (* and: dst a b *)
+      Array.unsafe_set vals dst
+        (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+        land Array.unsafe_get vals (Array.unsafe_get code (p + 3)));
+      pc := p + 4
+    | 10 ->
+      (* or: dst a b *)
+      Array.unsafe_set vals dst
+        (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+        lor Array.unsafe_get vals (Array.unsafe_get code (p + 3)));
+      pc := p + 4
+    | 11 ->
+      (* xor: dst a b *)
+      Array.unsafe_set vals dst
+        (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+        lxor Array.unsafe_get vals (Array.unsafe_get code (p + 3)));
+      pc := p + 4
+    | 12 ->
+      (* shl: dst a b m *)
+      let b = Array.unsafe_get vals (Array.unsafe_get code (p + 3)) in
+      Array.unsafe_set vals dst
+        (if b > Ast.max_width then 0
+         else
+           Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+           lsl b
+           land Array.unsafe_get code (p + 4));
+      pc := p + 5
+    | 13 ->
+      (* shr: dst a b *)
+      let b = Array.unsafe_get vals (Array.unsafe_get code (p + 3)) in
+      Array.unsafe_set vals dst
+        (if b > Ast.max_width then 0
+         else Array.unsafe_get vals (Array.unsafe_get code (p + 2)) lsr b);
+      pc := p + 4
+    | 14 ->
+      (* eq: dst a b *)
+      Array.unsafe_set vals dst
+        (if
+           Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+           = Array.unsafe_get vals (Array.unsafe_get code (p + 3))
+         then 1
+         else 0);
+      pc := p + 4
+    | 15 ->
+      (* neq: dst a b *)
+      Array.unsafe_set vals dst
+        (if
+           Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+           <> Array.unsafe_get vals (Array.unsafe_get code (p + 3))
+         then 1
+         else 0);
+      pc := p + 4
+    | 16 ->
+      (* lt: dst a b *)
+      Array.unsafe_set vals dst
+        (if
+           Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+           < Array.unsafe_get vals (Array.unsafe_get code (p + 3))
+         then 1
+         else 0);
+      pc := p + 4
+    | 17 ->
+      (* le: dst a b *)
+      Array.unsafe_set vals dst
+        (if
+           Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+           <= Array.unsafe_get vals (Array.unsafe_get code (p + 3))
+         then 1
+         else 0);
+      pc := p + 4
+    | 18 ->
+      (* gt: dst a b *)
+      Array.unsafe_set vals dst
+        (if
+           Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+           > Array.unsafe_get vals (Array.unsafe_get code (p + 3))
+         then 1
+         else 0);
+      pc := p + 4
+    | 19 ->
+      (* ge: dst a b *)
+      Array.unsafe_set vals dst
+        (if
+           Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+           >= Array.unsafe_get vals (Array.unsafe_get code (p + 3))
+         then 1
+         else 0);
+      pc := p + 4
+    | 20 ->
+      (* not: dst a m *)
+      Array.unsafe_set vals dst
+        (lnot (Array.unsafe_get vals (Array.unsafe_get code (p + 2)))
+        land Array.unsafe_get code (p + 3));
+      pc := p + 4
+    | 21 ->
+      (* neg: dst a m *)
+      Array.unsafe_set vals dst
+        (-Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+        land Array.unsafe_get code (p + 3));
+      pc := p + 4
+    | 22 ->
+      (* andr: dst a m *)
+      Array.unsafe_set vals dst
+        (if
+           Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+           = Array.unsafe_get code (p + 3)
+         then 1
+         else 0);
+      pc := p + 4
+    | 23 ->
+      (* orr: dst a *)
+      Array.unsafe_set vals dst
+        (if Array.unsafe_get vals (Array.unsafe_get code (p + 2)) <> 0 then 1 else 0);
+      pc := p + 3
+    | 24 ->
+      (* xorr: dst a *)
+      Array.unsafe_set vals dst
+        (parity 0 (Array.unsafe_get vals (Array.unsafe_get code (p + 2))));
+      pc := p + 3
+    | 25 ->
+      (* bits: dst a lo m *)
+      Array.unsafe_set vals dst
+        (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+         lsr Array.unsafe_get code (p + 3)
+        land Array.unsafe_get code (p + 4));
+      pc := p + 5
+    | 26 ->
+      (* cat: dst a b wb *)
+      Array.unsafe_set vals dst
+        (Array.unsafe_get vals (Array.unsafe_get code (p + 2))
+         lsl Array.unsafe_get code (p + 4)
+        lor Array.unsafe_get vals (Array.unsafe_get code (p + 3)));
+      pc := p + 5
+    | 27 ->
+      (* read: dst mem a *)
+      let arr = Array.unsafe_get mems (Array.unsafe_get code (p + 2)) in
+      Array.unsafe_set vals dst
+        (Array.unsafe_get arr
+           (Array.unsafe_get vals (Array.unsafe_get code (p + 3)) mod Array.length arr));
+      pc := p + 4
+    | 28 ->
+      (* stage: r a *)
+      Array.unsafe_set staging dst
+        (Array.unsafe_get vals (Array.unsafe_get code (p + 2)));
+      pc := p + 3
+    | 29 ->
+      (* stage_en: r a en slot *)
+      Array.unsafe_set staging dst
+        (if Array.unsafe_get vals (Array.unsafe_get code (p + 3)) = 0 then
+           Array.unsafe_get vals (Array.unsafe_get code (p + 4))
+         else Array.unsafe_get vals (Array.unsafe_get code (p + 2)));
+      pc := p + 5
+    | 30 ->
+      (* wstage: j en a d depth *)
+      if Array.unsafe_get vals (Array.unsafe_get code (p + 2)) <> 0 then begin
+        Array.unsafe_set w_fire dst true;
+        let a = Array.unsafe_get vals (Array.unsafe_get code (p + 3)) in
+        let depth = Array.unsafe_get code (p + 5) in
+        if a >= depth then Telemetry.incr t.bc_wrapped;
+        Array.unsafe_set w_idx dst (a mod depth);
+        Array.unsafe_set w_val dst
+          (Array.unsafe_get vals (Array.unsafe_get code (p + 4)))
+      end
+      else Array.unsafe_set w_fire dst false;
+      pc := p + 6
+    | _ ->
+      (* read_p2: dst mem a m *)
+      let arr = Array.unsafe_get mems (Array.unsafe_get code (p + 2)) in
+      Array.unsafe_set vals dst
+        (Array.unsafe_get arr
+           (Array.unsafe_get vals (Array.unsafe_get code (p + 3))
+           land Array.unsafe_get code (p + 4)));
+      pc := p + 5
+  done
 
 (* The vectorized dispatch loop: decodes each instruction ONCE and
    applies it to every lane before advancing the program counter, so
@@ -874,301 +875,300 @@ let exec_all t code start stop =
   let lfire = t.bc_w_fire in
   let lidx = t.bc_w_idx in
   let lval = t.bc_w_val in
-  let rec go p =
-    if p < stop then begin
-      let dst = Array.unsafe_get code (p + 1) in
-      match Array.unsafe_get code p with
-      | 0 ->
-        let imm = Array.unsafe_get code (p + 2) in
-        for l = 0 to nl - 1 do
-          Array.unsafe_set (Array.unsafe_get lvals l) dst imm
-        done;
-        go (p + 3)
-      | 1 ->
-        let a = Array.unsafe_get code (p + 2) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (Array.unsafe_get v a)
-        done;
-        go (p + 3)
-      | 2 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let m = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (Array.unsafe_get v a land m)
-        done;
-        go (p + 4)
-      | 3 ->
-        let c = Array.unsafe_get code (p + 2) in
-        let a = Array.unsafe_get code (p + 3) in
-        let b = Array.unsafe_get code (p + 4) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst
-            (if Array.unsafe_get v c <> 0 then Array.unsafe_get v a
-             else Array.unsafe_get v b)
-        done;
-        go (p + 5)
-      | 4 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        let m = Array.unsafe_get code (p + 4) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst ((Array.unsafe_get v a + Array.unsafe_get v b) land m)
-        done;
-        go (p + 5)
-      | 5 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        let m = Array.unsafe_get code (p + 4) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst ((Array.unsafe_get v a - Array.unsafe_get v b) land m)
-        done;
-        go (p + 5)
-      | 6 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        let m = Array.unsafe_get code (p + 4) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (Array.unsafe_get v a * Array.unsafe_get v b land m)
-        done;
-        go (p + 5)
-      | 7 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          let d = Array.unsafe_get v b in
-          Array.unsafe_set v dst (if d = 0 then 0 else Array.unsafe_get v a / d)
-        done;
-        go (p + 4)
-      | 8 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          let d = Array.unsafe_get v b in
-          Array.unsafe_set v dst (if d = 0 then 0 else Array.unsafe_get v a mod d)
-        done;
-        go (p + 4)
-      | 9 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (Array.unsafe_get v a land Array.unsafe_get v b)
-        done;
-        go (p + 4)
-      | 10 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (Array.unsafe_get v a lor Array.unsafe_get v b)
-        done;
-        go (p + 4)
-      | 11 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (Array.unsafe_get v a lxor Array.unsafe_get v b)
-        done;
-        go (p + 4)
-      | 12 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        let m = Array.unsafe_get code (p + 4) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          let s = Array.unsafe_get v b in
-          Array.unsafe_set v dst
-            (if s > Ast.max_width then 0 else Array.unsafe_get v a lsl s land m)
-        done;
-        go (p + 5)
-      | 13 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          let s = Array.unsafe_get v b in
-          Array.unsafe_set v dst
-            (if s > Ast.max_width then 0 else Array.unsafe_get v a lsr s)
-        done;
-        go (p + 4)
-      | 14 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst
-            (if Array.unsafe_get v a = Array.unsafe_get v b then 1 else 0)
-        done;
-        go (p + 4)
-      | 15 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst
-            (if Array.unsafe_get v a <> Array.unsafe_get v b then 1 else 0)
-        done;
-        go (p + 4)
-      | 16 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst
-            (if Array.unsafe_get v a < Array.unsafe_get v b then 1 else 0)
-        done;
-        go (p + 4)
-      | 17 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst
-            (if Array.unsafe_get v a <= Array.unsafe_get v b then 1 else 0)
-        done;
-        go (p + 4)
-      | 18 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst
-            (if Array.unsafe_get v a > Array.unsafe_get v b then 1 else 0)
-        done;
-        go (p + 4)
-      | 19 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst
-            (if Array.unsafe_get v a >= Array.unsafe_get v b then 1 else 0)
-        done;
-        go (p + 4)
-      | 20 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let m = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (lnot (Array.unsafe_get v a) land m)
-        done;
-        go (p + 4)
-      | 21 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let m = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (-Array.unsafe_get v a land m)
-        done;
-        go (p + 4)
-      | 22 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let m = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (if Array.unsafe_get v a = m then 1 else 0)
-        done;
-        go (p + 4)
-      | 23 ->
-        let a = Array.unsafe_get code (p + 2) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (if Array.unsafe_get v a <> 0 then 1 else 0)
-        done;
-        go (p + 3)
-      | 24 ->
-        let a = Array.unsafe_get code (p + 2) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (parity 0 (Array.unsafe_get v a))
-        done;
-        go (p + 3)
-      | 25 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let lo = Array.unsafe_get code (p + 3) in
-        let m = Array.unsafe_get code (p + 4) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (Array.unsafe_get v a lsr lo land m)
-        done;
-        go (p + 5)
-      | 26 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let b = Array.unsafe_get code (p + 3) in
-        let wb = Array.unsafe_get code (p + 4) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set v dst (Array.unsafe_get v a lsl wb lor Array.unsafe_get v b)
-        done;
-        go (p + 5)
-      | 27 ->
-        let mid = Array.unsafe_get code (p + 2) in
-        let a = Array.unsafe_get code (p + 3) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          let arr = Array.unsafe_get (Array.unsafe_get lmems l) mid in
-          Array.unsafe_set v dst
-            (Array.unsafe_get arr (Array.unsafe_get v a mod Array.length arr))
-        done;
-        go (p + 4)
-      | 28 ->
-        let a = Array.unsafe_get code (p + 2) in
-        for l = 0 to nl - 1 do
-          Array.unsafe_set (Array.unsafe_get lstage l) dst
-            (Array.unsafe_get (Array.unsafe_get lvals l) a)
-        done;
-        go (p + 3)
-      | 29 ->
-        let a = Array.unsafe_get code (p + 2) in
-        let en = Array.unsafe_get code (p + 3) in
-        let slot = Array.unsafe_get code (p + 4) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          Array.unsafe_set (Array.unsafe_get lstage l) dst
-            (if Array.unsafe_get v en = 0 then Array.unsafe_get v slot
-             else Array.unsafe_get v a)
-        done;
-        go (p + 5)
-      | 30 ->
-        let en = Array.unsafe_get code (p + 2) in
-        let a = Array.unsafe_get code (p + 3) in
-        let d = Array.unsafe_get code (p + 4) in
-        let depth = Array.unsafe_get code (p + 5) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          if Array.unsafe_get v en <> 0 then begin
-            Array.unsafe_set (Array.unsafe_get lfire l) dst true;
-            let addr = Array.unsafe_get v a in
-            if addr >= depth then Telemetry.incr t.bc_wrapped;
-            Array.unsafe_set (Array.unsafe_get lidx l) dst (addr mod depth);
-            Array.unsafe_set (Array.unsafe_get lval l) dst (Array.unsafe_get v d)
-          end
-          else Array.unsafe_set (Array.unsafe_get lfire l) dst false
-        done;
-        go (p + 6)
-      | _ ->
-        let mid = Array.unsafe_get code (p + 2) in
-        let a = Array.unsafe_get code (p + 3) in
-        let m = Array.unsafe_get code (p + 4) in
-        for l = 0 to nl - 1 do
-          let v = Array.unsafe_get lvals l in
-          let arr = Array.unsafe_get (Array.unsafe_get lmems l) mid in
-          Array.unsafe_set v dst
-            (Array.unsafe_get arr (Array.unsafe_get v a land m))
-        done;
-        go (p + 5)
-    end
-  in
-  go start
+  let pc = ref start in
+  while !pc < stop do
+    let p = !pc in
+    let dst = Array.unsafe_get code (p + 1) in
+    match Array.unsafe_get code p with
+    | 0 ->
+      let imm = Array.unsafe_get code (p + 2) in
+      for l = 0 to nl - 1 do
+        Array.unsafe_set (Array.unsafe_get lvals l) dst imm
+      done;
+      pc := p + 3
+    | 1 ->
+      let a = Array.unsafe_get code (p + 2) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (Array.unsafe_get v a)
+      done;
+      pc := p + 3
+    | 2 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let m = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (Array.unsafe_get v a land m)
+      done;
+      pc := p + 4
+    | 3 ->
+      let c = Array.unsafe_get code (p + 2) in
+      let a = Array.unsafe_get code (p + 3) in
+      let b = Array.unsafe_get code (p + 4) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst
+          (if Array.unsafe_get v c <> 0 then Array.unsafe_get v a
+           else Array.unsafe_get v b)
+      done;
+      pc := p + 5
+    | 4 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      let m = Array.unsafe_get code (p + 4) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst ((Array.unsafe_get v a + Array.unsafe_get v b) land m)
+      done;
+      pc := p + 5
+    | 5 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      let m = Array.unsafe_get code (p + 4) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst ((Array.unsafe_get v a - Array.unsafe_get v b) land m)
+      done;
+      pc := p + 5
+    | 6 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      let m = Array.unsafe_get code (p + 4) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (Array.unsafe_get v a * Array.unsafe_get v b land m)
+      done;
+      pc := p + 5
+    | 7 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        let d = Array.unsafe_get v b in
+        Array.unsafe_set v dst (if d = 0 then 0 else Array.unsafe_get v a / d)
+      done;
+      pc := p + 4
+    | 8 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        let d = Array.unsafe_get v b in
+        Array.unsafe_set v dst (if d = 0 then 0 else Array.unsafe_get v a mod d)
+      done;
+      pc := p + 4
+    | 9 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (Array.unsafe_get v a land Array.unsafe_get v b)
+      done;
+      pc := p + 4
+    | 10 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (Array.unsafe_get v a lor Array.unsafe_get v b)
+      done;
+      pc := p + 4
+    | 11 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (Array.unsafe_get v a lxor Array.unsafe_get v b)
+      done;
+      pc := p + 4
+    | 12 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      let m = Array.unsafe_get code (p + 4) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        let s = Array.unsafe_get v b in
+        Array.unsafe_set v dst
+          (if s > Ast.max_width then 0 else Array.unsafe_get v a lsl s land m)
+      done;
+      pc := p + 5
+    | 13 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        let s = Array.unsafe_get v b in
+        Array.unsafe_set v dst
+          (if s > Ast.max_width then 0 else Array.unsafe_get v a lsr s)
+      done;
+      pc := p + 4
+    | 14 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst
+          (if Array.unsafe_get v a = Array.unsafe_get v b then 1 else 0)
+      done;
+      pc := p + 4
+    | 15 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst
+          (if Array.unsafe_get v a <> Array.unsafe_get v b then 1 else 0)
+      done;
+      pc := p + 4
+    | 16 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst
+          (if Array.unsafe_get v a < Array.unsafe_get v b then 1 else 0)
+      done;
+      pc := p + 4
+    | 17 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst
+          (if Array.unsafe_get v a <= Array.unsafe_get v b then 1 else 0)
+      done;
+      pc := p + 4
+    | 18 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst
+          (if Array.unsafe_get v a > Array.unsafe_get v b then 1 else 0)
+      done;
+      pc := p + 4
+    | 19 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst
+          (if Array.unsafe_get v a >= Array.unsafe_get v b then 1 else 0)
+      done;
+      pc := p + 4
+    | 20 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let m = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (lnot (Array.unsafe_get v a) land m)
+      done;
+      pc := p + 4
+    | 21 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let m = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (-Array.unsafe_get v a land m)
+      done;
+      pc := p + 4
+    | 22 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let m = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (if Array.unsafe_get v a = m then 1 else 0)
+      done;
+      pc := p + 4
+    | 23 ->
+      let a = Array.unsafe_get code (p + 2) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (if Array.unsafe_get v a <> 0 then 1 else 0)
+      done;
+      pc := p + 3
+    | 24 ->
+      let a = Array.unsafe_get code (p + 2) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (parity 0 (Array.unsafe_get v a))
+      done;
+      pc := p + 3
+    | 25 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let lo = Array.unsafe_get code (p + 3) in
+      let m = Array.unsafe_get code (p + 4) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (Array.unsafe_get v a lsr lo land m)
+      done;
+      pc := p + 5
+    | 26 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let b = Array.unsafe_get code (p + 3) in
+      let wb = Array.unsafe_get code (p + 4) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set v dst (Array.unsafe_get v a lsl wb lor Array.unsafe_get v b)
+      done;
+      pc := p + 5
+    | 27 ->
+      let mid = Array.unsafe_get code (p + 2) in
+      let a = Array.unsafe_get code (p + 3) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        let arr = Array.unsafe_get (Array.unsafe_get lmems l) mid in
+        Array.unsafe_set v dst
+          (Array.unsafe_get arr (Array.unsafe_get v a mod Array.length arr))
+      done;
+      pc := p + 4
+    | 28 ->
+      let a = Array.unsafe_get code (p + 2) in
+      for l = 0 to nl - 1 do
+        Array.unsafe_set (Array.unsafe_get lstage l) dst
+          (Array.unsafe_get (Array.unsafe_get lvals l) a)
+      done;
+      pc := p + 3
+    | 29 ->
+      let a = Array.unsafe_get code (p + 2) in
+      let en = Array.unsafe_get code (p + 3) in
+      let slot = Array.unsafe_get code (p + 4) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        Array.unsafe_set (Array.unsafe_get lstage l) dst
+          (if Array.unsafe_get v en = 0 then Array.unsafe_get v slot
+           else Array.unsafe_get v a)
+      done;
+      pc := p + 5
+    | 30 ->
+      let en = Array.unsafe_get code (p + 2) in
+      let a = Array.unsafe_get code (p + 3) in
+      let d = Array.unsafe_get code (p + 4) in
+      let depth = Array.unsafe_get code (p + 5) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        if Array.unsafe_get v en <> 0 then begin
+          Array.unsafe_set (Array.unsafe_get lfire l) dst true;
+          let addr = Array.unsafe_get v a in
+          if addr >= depth then Telemetry.incr t.bc_wrapped;
+          Array.unsafe_set (Array.unsafe_get lidx l) dst (addr mod depth);
+          Array.unsafe_set (Array.unsafe_get lval l) dst (Array.unsafe_get v d)
+        end
+        else Array.unsafe_set (Array.unsafe_get lfire l) dst false
+      done;
+      pc := p + 6
+    | _ ->
+      let mid = Array.unsafe_get code (p + 2) in
+      let a = Array.unsafe_get code (p + 3) in
+      let m = Array.unsafe_get code (p + 4) in
+      for l = 0 to nl - 1 do
+        let v = Array.unsafe_get lvals l in
+        let arr = Array.unsafe_get (Array.unsafe_get lmems l) mid in
+        Array.unsafe_set v dst
+          (Array.unsafe_get arr (Array.unsafe_get v a land m))
+      done;
+      pc := p + 5
+  done
 
 (* Lane 0's combinational pass — the scalar path, byte-identical to the
    pre-lane engine. *)

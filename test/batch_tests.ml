@@ -1,5 +1,5 @@
 (* Cycle-batched token exchange: the Bqueue slab operations
-   (push_list/peek_upto/drop_n) and the scheduler's [batch_cycles] cap
+   (push_slab/nth_unlocked/drop_n) and the scheduler's [batch_cycles] cap
    must be invisible in every observable — LI-BDN determinism says a
    batched run's token streams and architectural state are
    byte-identical to the per-cycle run's, for ANY batch depth, engine,
@@ -24,16 +24,21 @@ let no_abort () = false
 
 let bq capacity = BQ.create ~capacity ~notif:(Notifier.create ())
 
+(* One slab push of [xs]. *)
+let push_slab q xs ~block ~abort =
+  BQ.push_slab q (Array.of_list xs) ~len:(List.length xs) ~block ~abort
+
+(* Up to [n] head tokens, read in place. *)
+let heads q n = List.init (max 0 (min n (BQ.length q))) (BQ.nth_unlocked q)
+
 let test_slab_roundtrip () =
   let q = bq 8 in
-  BQ.push_list q [ 1; 2; 3 ] ~block:false ~abort:no_abort;
+  push_slab q [ 1; 2; 3 ] ~block:false ~abort:no_abort;
   check_int "length after slab push" 3 (BQ.length q);
   check_ints "queue order" [ 1; 2; 3 ] (BQ.to_list q);
-  check_ints "peek_upto below length" [ 1; 2 ]
-    (Array.to_list (BQ.peek_upto_unlocked q 2));
-  check_ints "peek_upto past length" [ 1; 2; 3 ]
-    (Array.to_list (BQ.peek_upto_unlocked q 99));
-  check_ints "peek_upto zero" [] (Array.to_list (BQ.peek_upto_unlocked q 0));
+  check_ints "heads below length" [ 1; 2 ] (heads q 2);
+  check_ints "heads past length" [ 1; 2; 3 ] (heads q 99);
+  check_ints "heads zero" [] (heads q 0);
   check_int "peek leaves contents" 3 (BQ.length q);
   BQ.drop_n q 2;
   check_ints "partial drain drops heads" [ 3 ] (BQ.to_list q)
@@ -42,12 +47,12 @@ let test_slab_interleaved_wraparound () =
   (* Slab pushes interleaved with drops keep strict FIFO order across
      the capacity boundary (the ring-buffer wrap-around shape). *)
   let q = bq 4 in
-  BQ.push_list q [ 10; 11; 12 ] ~block:false ~abort:no_abort;
+  push_slab q [ 10; 11; 12 ] ~block:false ~abort:no_abort;
   BQ.drop_n q 2;
-  BQ.push_list q [ 13; 14; 15 ] ~block:false ~abort:no_abort;
+  push_slab q [ 13; 14; 15 ] ~block:false ~abort:no_abort;
   check_ints "order across wrap" [ 12; 13; 14; 15 ] (BQ.to_list q);
   BQ.drop_n q 3;
-  BQ.push_list q [ 16 ] ~block:false ~abort:no_abort;
+  push_slab q [ 16 ] ~block:false ~abort:no_abort;
   check_ints "order after second wrap" [ 15; 16 ] (BQ.to_list q)
 
 let test_slab_full_keeps_prefix () =
@@ -57,13 +62,13 @@ let test_slab_full_keeps_prefix () =
   BQ.push q 0 ~block:false ~abort:no_abort;
   check_bool "overfull slab raises Full" true
     (try
-       BQ.push_list q [ 1; 2; 3; 4; 5 ] ~block:false ~abort:no_abort;
+       push_slab q [ 1; 2; 3; 4; 5 ] ~block:false ~abort:no_abort;
        false
      with BQ.Full -> true);
   check_ints "prefix survives Full" [ 0; 1; 2; 3 ] (BQ.to_list q);
   BQ.drop_n q 4;
   (* With space restored the remainder can be re-offered. *)
-  BQ.push_list q [ 4; 5 ] ~block:false ~abort:no_abort;
+  push_slab q [ 4; 5 ] ~block:false ~abort:no_abort;
   check_ints "remainder lands after drain" [ 4; 5 ] (BQ.to_list q)
 
 let test_slab_abort_while_blocked () =
@@ -72,7 +77,7 @@ let test_slab_abort_while_blocked () =
   let q = bq 2 in
   check_bool "abort trips out of blocked slab push" true
     (try
-       BQ.push_list q [ 1; 2; 3 ] ~block:true ~abort:(fun () -> true);
+       push_slab q [ 1; 2; 3 ] ~block:true ~abort:(fun () -> true);
        false
      with Libdn.Channel.Aborted -> true);
   (* The prefix filled the queue before the wait began. *)
@@ -90,7 +95,7 @@ let test_slab_concurrent_producer_consumer () =
         let i = ref 0 in
         while !i < total do
           let n = min slab (total - !i) in
-          BQ.push_list q
+          push_slab q
             (List.init n (fun k -> !i + k))
             ~block:true ~abort:no_abort;
           i := !i + n

@@ -40,4 +40,5 @@ let () =
          Service_tests.suite;
          Wavestore_tests.suite;
          Batch_tests.suite;
+         Token_path_tests.suite;
        ])
