@@ -17,15 +17,7 @@ module R = Fireripper.Runtime
 
 (** Signal names that resolved to no partition (or to a memory, which
     cannot be waveform-sampled). *)
-exception Unknown_signal of string list
-
-let () =
-  Printexc.register_printer (function
-    | Unknown_signal names ->
-      Some
-        (Printf.sprintf "waveform capture: no partition holds signal(s): %s"
-           (String.concat ", " names))
-    | _ -> None)
+exception Unknown_signal = R.Unknown_signal
 
 (** A resolved probe set: per-signal metadata plus ONE batched reader
     returning every current value in probe order. *)
@@ -51,102 +43,19 @@ type divergence = {
 (* Probe resolution                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Resolves [names] against every unit of [handle] — local simulators
-    first, then remote workers (one [width] query each) — and builds
-    the batched reader: local probes are direct simulator reads, remote
-    probes cost one [sample] round trip per worker per call.  Raises
-    {!Unknown_signal} listing every name no unit holds as a signal. *)
+(** Resolves [names] through {!Fireripper.Runtime.reader}: its
+    batched reader plus each probe's owning unit name and width. *)
 let resolve h names =
-  let names = Array.of_list names in
-  let n = Array.length names in
-  let n_units = Array.length h.R.h_sims in
-  let unit_name k = h.R.h_plan.Fireripper.Plan.p_units.(k).Fireripper.Plan.u_name in
-  let classify name =
-    let rec go k =
-      if k >= n_units then None
-      else
-        match h.R.h_sims.(k) with
-        | Some sim -> (
-          match Hashtbl.find_opt sim.Rtlsim.Sim.slots name with
-          | Some slot -> Some (`Local (k, sim), sim.Rtlsim.Sim.widths.(slot))
-          | None -> try_remote k)
-        | None -> try_remote k
-    and try_remote k =
-      match h.R.h_remote.(k) with
-      | Some conn -> (
-        match Libdn.Remote_engine.signal_width conn name with
-        | Some w -> Some (`Remote (k, conn), w)
-        | None -> go (k + 1))
-      | None -> go (k + 1)
-    in
-    go 0
-  in
-  let resolved = Array.map classify names in
-  let unknown =
-    Array.to_list names
-    |> List.filteri (fun i _ -> resolved.(i) = None)
-  in
-  if unknown <> [] then raise (Unknown_signal unknown);
-  let scopes = Array.make n "" in
-  let widths = Array.make n 0 in
-  let locals = ref [] in
-  (* Remote probes grouped per worker so each costs one round trip. *)
-  let remote_groups : (int, Libdn.Remote_engine.conn * (int * string) list ref) Hashtbl.t =
-    Hashtbl.create 7
-  in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | None -> assert false
-      | Some (`Local (k, sim), w) ->
-        scopes.(i) <- unit_name k;
-        widths.(i) <- w;
-        locals := (sim, i, names.(i)) :: !locals
-      | Some (`Remote (k, conn), w) ->
-        scopes.(i) <- unit_name k;
-        widths.(i) <- w;
-        let _, group =
-          match Hashtbl.find_opt remote_groups k with
-          | Some g -> g
-          | None ->
-            let g = (conn, ref []) in
-            Hashtbl.replace remote_groups k g;
-            g
-        in
-        group := (i, names.(i)) :: !group)
-    resolved;
-  (* Hoist the name→slot hash lookup out of the per-cycle read: during
-     capture every probe is read every target cycle, and the lookups
-     dominate the sampling cost.  Lane 0's value array is stable for
-     the life of the simulation, so the slot index alone suffices. *)
-  let locals =
-    Array.of_list
-      (List.rev_map
-         (fun (sim, i, name) -> (sim.Rtlsim.Sim.values, i, Rtlsim.Sim.slot sim name))
-         !locals)
-  in
-  (* Unboxed parallel arrays: the read runs once per target cycle. *)
-  let l_vals = Array.map (fun (v, _, _) -> v) locals in
-  let l_idx = Array.map (fun (_, i, _) -> i) locals in
-  let l_slot = Array.map (fun (_, _, s) -> s) locals in
-  let n_local = Array.length locals in
-  let remotes =
-    Hashtbl.fold (fun _ (conn, group) acc -> (conn, List.rev !group) :: acc)
-      remote_groups []
-  in
-  let read () =
-    let out = Array.make n 0 in
-    for k = 0 to n_local - 1 do
-      out.(l_idx.(k)) <- l_vals.(k).(l_slot.(k))
-    done;
-    List.iter
-      (fun (conn, group) ->
-        let values = Libdn.Remote_engine.sample conn (List.map snd group) in
-        List.iter2 (fun (i, _) v -> out.(i) <- v) group values)
-      remotes;
-    out
-  in
-  { pb_names = names; pb_scopes = scopes; pb_widths = widths; pb_read = read }
+  let sites, read = R.reader h names in
+  {
+    pb_names = Array.of_list names;
+    pb_scopes =
+      Array.map
+        (fun (k, _) -> h.R.h_plan.Fireripper.Plan.p_units.(k).Fireripper.Plan.u_name)
+        sites;
+    pb_widths = Array.map snd sites;
+    pb_read = read;
+  }
 
 (** One queue-depth track per LI-BDN input channel of [net], named
     [<partition>.<channel>.depth]. *)
@@ -275,8 +184,7 @@ let of_sim sim ~probes =
     |> List.filter (fun s -> not (Hashtbl.mem sim.Rtlsim.Sim.slots s))
   in
   if unknown <> [] then raise (Unknown_signal unknown);
-  (* Same hoist as [resolve]: slot indices once, direct value-array
-     reads per cycle. *)
+  (* Slot indices once, direct value-array reads per cycle. *)
   let slots = Array.map (fun s -> Hashtbl.find sim.Rtlsim.Sim.slots s) names in
   let vals = sim.Rtlsim.Sim.values in
   of_probes
@@ -303,8 +211,6 @@ let sample t ~cycle =
   end
 
 let sample_count t = List.length t.cp_samples
-
-let probe_names t = Array.to_list t.cp_probes.pb_names
 
 (** The merged multi-scope VCD: one scope per partition plus the
     [channels] track scope, fast-mode channel events remapped. *)

@@ -8,7 +8,8 @@
 
 exception Unknown_signal of string list
 (** Signal names that resolved to no partition (or name a memory, which
-    cannot be waveform-sampled). *)
+    cannot be waveform-sampled); the same exception as
+    {!Fireripper.Runtime.Unknown_signal}. *)
 
 (** A resolved probe set: per-signal metadata plus one batched reader
     returning every current value in probe order. *)
@@ -29,10 +30,10 @@ type divergence = {
   dv_b : int;  (** value in the second capture *)
 }
 
-(** Resolves names against every unit of the handle — local simulators,
-    then remote workers — building the batched reader (one [sample]
-    round trip per worker per call).  Raises {!Unknown_signal} listing
-    every unresolvable name. *)
+(** Resolves names through {!Fireripper.Runtime.reader} (one [sample]
+    round trip per worker per read), adding each probe's owning unit
+    name and width.  Raises {!Unknown_signal} listing every
+    unresolvable name. *)
 val resolve : Fireripper.Runtime.handle -> string list -> probes
 
 (** One queue-depth track per LI-BDN input channel, named
@@ -80,7 +81,6 @@ val of_sim : Rtlsim.Sim.t -> probes:string list -> t
 val sample : t -> cycle:int -> unit
 
 val sample_count : t -> int
-val probe_names : t -> string list
 
 (** The merged multi-scope VCD document. *)
 val contents : t -> string

@@ -55,24 +55,6 @@ let instantiate ?fame5 ?scheduler ?batch_cycles ?placement
   Runtime.instantiate ?fame5 ?scheduler ?batch_cycles ?groups
     ?telemetry ?engine ?lanes plan
 
-(** Instantiates [plan] with [remote_units] hosted in worker processes
-    and wraps the handle in a crash-recovering supervisor: durable
-    checkpoints under [checkpoint_dir] every [every] cycles, dead
-    workers respawned under [policy], optional seeded [chaos].  Drive
-    it with {!Resilience.Supervisor.run}; {!Resilience.Supervisor.close}
-    when done. *)
-let supervise ?scheduler ?batch_cycles ?placement ?read_timeout
-    ?telemetry ?engine ?lanes ?checkpoint_dir ?every ?policy ?chaos
-    ?on_event ~worker ~remote_units plan =
-  let groups = placement_groups ?telemetry ?placement plan in
-  let handle, _conns =
-    Runtime.instantiate_remote ?scheduler ?batch_cycles ?groups
-      ?read_timeout ?telemetry ?engine ?lanes ~worker ~remote_units
-      plan
-  in
-  Resilience.Supervisor.create ?checkpoint_dir ?every ?policy ?chaos ?on_event
-    ~worker handle
-
 (* ------------------------------------------------------------------ *)
 (* Running to a condition                                              *)
 (* ------------------------------------------------------------------ *)
@@ -88,19 +70,13 @@ let run_monolithic_until circuit ~setup ~finished ~max_cycles =
     on the partitioned state; returns the cycle count.  [peek] resolves
     flattened register names in whichever unit holds them. *)
 let run_partitioned_until handle ~setup ~finished ~max_cycles =
-  setup ~poke:(fun ~mem addr v ->
-      let u = Runtime.locate handle mem in
-      Rtlsim.Sim.poke_mem (Runtime.sim_of handle u) mem addr v);
-  let peek name =
-    let u = Runtime.locate handle name in
-    Rtlsim.Sim.get (Runtime.sim_of handle u) name
-  in
+  setup ~poke:(fun ~mem addr v -> Runtime.poke_mem handle mem addr v);
   let rec go c =
     if c > max_cycles then
       failwith "run_partitioned_until: max cycles exceeded"
     else begin
       Runtime.run handle ~cycles:c;
-      if finished ~peek then c else go (c + 1)
+      if finished ~peek:(Runtime.peek handle) then c else go (c + 1)
     end
   in
   go 1
@@ -137,9 +113,7 @@ let wave_diff ?(scheduler = Libdn.Scheduler.default) ?(mode = Spec.Exact) ?engin
   let config = { Spec.default_config with Spec.mode; selection } in
   let plan = compile ~config (circuit ()) in
   let handle = instantiate ~scheduler ?engine plan in
-  setup ~poke:(fun ~mem addr v ->
-      let u = Runtime.locate handle mem in
-      Rtlsim.Sim.poke_mem (Runtime.sim_of handle u) mem addr v);
+  setup ~poke:(fun ~mem addr v -> Runtime.poke_mem handle mem addr v);
   let ca = Debug.Capture.of_sim mono ~probes in
   let cb = Debug.Capture.of_handle ~channels:false handle ~probes in
   for c = 1 to cycles do
@@ -293,9 +267,7 @@ let crosscheck_schedulers ?(cycles = 100) ?batch_cycles ?placement plan =
     Runtime.run handle ~cycles;
     Array.map
       (fun (u : Plan.unit_part) ->
-        ( u.Plan.u_name,
-          Rtlsim.Sim.state_to_string
-            (Rtlsim.Sim.save_state (Runtime.sim_of handle u.Plan.u_index)) ))
+        (u.Plan.u_name, Runtime.save_unit_state handle u.Plan.u_index))
       plan.Plan.p_units
   in
   let seq = snapshot Libdn.Scheduler.Sequential in

@@ -66,32 +66,6 @@ val instantiate :
   Plan.t ->
   Runtime.handle
 
-(** Instantiates [plan] with [remote_units] hosted in worker processes
-    (spawned from the [worker] binary) and wraps the handle in a
-    crash-recovering supervisor: durable checkpoint bundles under
-    [checkpoint_dir] every [every] target cycles, dead workers
-    respawned under [policy] and rolled back from the last bundle,
-    optional seeded [chaos] fault injection.  Drive it with
-    {!Resilience.Supervisor.run}; {!Resilience.Supervisor.close} the
-    workers when done. *)
-val supervise :
-  ?scheduler:Libdn.Scheduler.t ->
-  ?batch_cycles:int ->
-  ?placement:Place.policy ->
-  ?read_timeout:float ->
-  ?telemetry:Telemetry.t ->
-  ?engine:Rtlsim.Sim.engine ->
-  ?lanes:int ->
-  ?checkpoint_dir:string ->
-  ?every:int ->
-  ?policy:Resilience.Policy.t ->
-  ?chaos:Resilience.Chaos.t ->
-  ?on_event:(Resilience.Supervisor.event -> unit) ->
-  worker:string ->
-  remote_units:int list ->
-  Plan.t ->
-  Resilience.Supervisor.t
-
 (** Steps a monolithic simulation to [finished]; returns the cycle. *)
 val run_monolithic_until :
   Firrtl.Ast.circuit ->
@@ -100,7 +74,9 @@ val run_monolithic_until :
   max_cycles:int ->
   int
 
-(** Runs a partitioned simulation cycle by cycle to [finished]. *)
+(** Runs a partitioned simulation cycle by cycle to [finished];
+    [poke] and [peek] reach whichever unit holds the name, local or
+    remote. *)
 val run_partitioned_until :
   Runtime.handle ->
   setup:(poke:(mem:string -> int -> int -> unit) -> unit) ->

@@ -2,31 +2,23 @@
    facility periodically reads target counters into the host without
    perturbing the target.  Here the host side samples named (flattened)
    signals of a running partitioned simulation every [every] target
-   cycles; each signal is resolved to its owning unit once, and reads go
-   straight to that unit's RTL state, so sampling adds no tokens to the
-   LI-BDN network. *)
+   cycles; the signals are resolved once by [Runtime.reader], and reads
+   go straight to the owning units' RTL state (one batched round trip
+   per remote worker), so sampling adds no tokens to the LI-BDN
+   network. *)
 
 type sample = {
   s_cycle : int;
   s_values : (string * int) list;  (** in the order [signals] was given *)
 }
 
+let sampler handle ~signals =
+  let _, read = Runtime.reader handle signals in
+  fun cycle -> { s_cycle = cycle; s_values = List.combine signals (Array.to_list (read ())) }
+
 let collect handle ~signals ~every ~cycles =
   if every <= 0 then invalid_arg "Counters.collect: every must be positive";
-  let resolved =
-    List.map
-      (fun s ->
-        let u = Runtime.locate handle s in
-        (s, u))
-      signals
-  in
-  let take cycle =
-    {
-      s_cycle = cycle;
-      s_values =
-        List.map (fun (s, u) -> (s, Rtlsim.Sim.get (Runtime.sim_of handle u) s)) resolved;
-    }
-  in
+  let take = sampler handle ~signals in
   (* [Runtime.run] targets absolute cycle counts: advance [cycles] past
      wherever the handle already is (it may have run, or been resumed
      from a snapshot); samples report absolute target cycles. *)

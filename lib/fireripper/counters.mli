@@ -1,12 +1,17 @@
 (** AutoCounter-style statistics bridge: periodic host-side sampling of
     target counters in a running partitioned simulation.  Signals are
-    read directly from the owning unit's RTL state, so sampling adds no
-    tokens to the LI-BDN network. *)
+    read directly from the owning unit's RTL state, local or remote, so
+    sampling adds no tokens to the LI-BDN network. *)
 
 type sample = {
   s_cycle : int;
   s_values : (string * int) list;  (** in the order [signals] was given *)
 }
+
+(** Resolves [signals] once (raising {!Runtime.Unknown_signal}) and
+    returns a function recording their current values as the sample of
+    the given target cycle. *)
+val sampler : Runtime.handle -> signals:string list -> int -> sample
 
 (** Advances the simulation [cycles] target cycles, recording [signals]
     every [every] cycles (and at the end).  Signals are flattened names

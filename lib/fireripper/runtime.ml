@@ -184,8 +184,9 @@ let with_unit_fir (plan : Plan.t) k f =
     everything else stays in-process.  Returns the handle and the live
     connections, in unit order — [Libdn.Remote_engine.close]
     them when done.  Remote units have no local simulator, so [sim_of]
-    and [locate] skip them; use the connection's poke/peek instead
-    (snapshots DO cover them, through the worker pipe protocol).
+    refuses them; [locate], [reader], [peek] and [poke_mem] reach them
+    over the pipe like any other unit (snapshots
+    DO cover them, through the worker pipe protocol).
     [read_timeout] bounds every worker reply wait in seconds. *)
 let instantiate_remote ?(scheduler = Libdn.Scheduler.default)
     ?(batch_cycles = Libdn.Scheduler.default_batch_cycles) ?groups
@@ -261,37 +262,134 @@ let fame5_of h k = h.h_fame5.(k)
     state plus in-flight tokens); the returned thunk rolls it back. *)
 let checkpoint h = Libdn.Network.checkpoint h.h_net
 
-(** The backing RTL simulation of a non-threaded unit — used to load
-    program images into partitioned memories and to inspect state. *)
+let unit_name h k = h.h_plan.Plan.p_units.(k).Plan.u_name
+
+(** The backing RTL simulation of an in-process, unthreaded unit —
+    used to load program images into partitioned memories and to
+    inspect state. *)
 let sim_of h k =
-  match h.h_sims.(k) with
-  | Some sim -> sim
-  | None -> invalid_arg "sim_of: unit is FAME-5 threaded; use fame5_of"
+  match (h.h_sims.(k), h.h_remote.(k)) with
+  | Some sim, _ -> sim
+  | None, Some _ ->
+    invalid_arg
+      (Printf.sprintf "sim_of: unit %d (%s) is remote, hosted by a worker process; use peek"
+         k (unit_name h k))
+  | None, None ->
+    invalid_arg
+      (Printf.sprintf "sim_of: unit %d (%s) is FAME-5 threaded; use fame5_of" k
+         (unit_name h k))
 
-(** Which unit ended up holding the (flattened) signal or memory [name],
-    searching local simulators first, then remote workers over the pipe
-    protocol.  [None] when no unit holds it. *)
-let locate_opt h name =
-  let local k =
-    match h.h_sims.(k) with
-    | Some sim ->
-      Hashtbl.mem sim.Rtlsim.Sim.slots name || Hashtbl.mem sim.Rtlsim.Sim.mems name
-    | None -> false
-  in
-  let remote k =
-    match h.h_remote.(k) with
-    | Some conn -> Libdn.Remote_engine.has conn name
-    | None -> false
-  in
+(* ------------------------------------------------------------------ *)
+(* Signal resolution                                                   *)
+(* ------------------------------------------------------------------ *)
+
+exception Unknown_signal of string list
+
+let () =
+  Printexc.register_printer (function
+    | Unknown_signal names ->
+      Some
+        (Printf.sprintf "no partition holds signal(s): %s" (String.concat ", " names))
+    | _ -> None)
+
+(* The one resolver: which unit holds the (flattened) signal or memory
+   [name], with its width in bits (0 for a memory) — local simulators
+   first, then remote workers over the pipe protocol. *)
+let resolve h name =
   let n = Array.length h.h_sims in
-  let rec find pred k = if k >= n then None else if pred k then Some k else find pred (k + 1) in
-  match find local 0 with Some _ as s -> s | None -> find remote 0
+  let rec local k =
+    if k >= n then remote 0
+    else
+      match h.h_sims.(k) with
+      | Some sim -> (
+        match Hashtbl.find_opt sim.Rtlsim.Sim.slots name with
+        | Some slot -> Some (k, sim.Rtlsim.Sim.widths.(slot))
+        | None -> if Hashtbl.mem sim.Rtlsim.Sim.mems name then Some (k, 0) else local (k + 1))
+      | None -> local (k + 1)
+  and remote k =
+    if k >= n then None
+    else
+      match h.h_remote.(k) with
+      | Some conn -> (
+        match Libdn.Remote_engine.signal_width conn name with
+        | Some w -> Some (k, w)
+        | None -> if Libdn.Remote_engine.has conn name then Some (k, 0) else remote (k + 1))
+      | None -> remote (k + 1)
+  in
+  local 0
 
-(** Like {!locate_opt}, raising [Invalid_argument] when absent. *)
+(** The unit of [resolve], raising [Invalid_argument] when absent. *)
 let locate h name =
-  match locate_opt h name with
-  | Some k -> k
+  match resolve h name with
+  | Some (k, _) -> k
   | None -> invalid_arg (Printf.sprintf "locate: %s not found in any unit" name)
+
+(** Resolves [names] as signals and builds one batched reader of their
+    current values, in [names] order: local signals are direct
+    simulator reads, remote ones cost one [sample] round trip per
+    worker per read.  Returns each name's (unit, width) alongside.
+    Raises {!Unknown_signal} listing every name no unit holds as a
+    signal (memories included). *)
+let reader h names =
+  let names = Array.of_list names in
+  let n = Array.length names in
+  let sites = Array.map (resolve h) names in
+  let unknown =
+    List.filteri
+      (fun i _ -> match sites.(i) with Some (_, w) -> w = 0 | None -> true)
+      (Array.to_list names)
+  in
+  if unknown <> [] then raise (Unknown_signal unknown);
+  let sites = Array.map Option.get sites in
+  let all = List.init n Fun.id in
+  let local_sim i = h.h_sims.(fst sites.(i)) in
+  (* Local reads hoist the name->slot lookup out of the per-cycle read:
+     lane 0's value array is stable for the life of the simulation. *)
+  let l_idx = Array.of_list (List.filter (fun i -> local_sim i <> None) all) in
+  let l_vals = Array.map (fun i -> (Option.get (local_sim i)).Rtlsim.Sim.values) l_idx in
+  let l_slot =
+    Array.map (fun i -> Rtlsim.Sim.slot (Option.get (local_sim i)) names.(i)) l_idx
+  in
+  (* Remote reads are grouped per worker: one round trip each. *)
+  let remotes =
+    List.filter_map
+      (fun (k, conn) ->
+        match List.filter (fun i -> fst sites.(i) = k) all with
+        | [] -> None
+        | idx -> Some (conn, idx, List.map (fun i -> names.(i)) idx))
+      (remote_conns h)
+  in
+  let read () =
+    let out = Array.make n 0 in
+    for j = 0 to Array.length l_idx - 1 do
+      out.(l_idx.(j)) <- l_vals.(j).(l_slot.(j))
+    done;
+    List.iter
+      (fun (conn, idx, group) ->
+        List.iter2 (fun i v -> out.(i) <- v) idx (Libdn.Remote_engine.sample conn group))
+      remotes;
+    out
+  in
+  (sites, read)
+
+(** The current value of signal [name] on engine [lane] (default 0),
+    read from whichever unit holds it. *)
+let peek ?lane h name =
+  match resolve h name with
+  | Some (k, w) when w > 0 -> (
+    match (h.h_sims.(k), lane) with
+    | Some sim, _ -> Rtlsim.Sim.get ?lane sim name
+    | None, None -> Libdn.Remote_engine.get (Option.get h.h_remote.(k)) name
+    | None, Some lane ->
+      Libdn.Remote_engine.get_lane (Option.get h.h_remote.(k)) name ~lane)
+  | _ -> raise (Unknown_signal [ name ])
+
+(** Writes word [addr] of memory [mem] in whichever unit holds it. *)
+let poke_mem h mem addr v =
+  let k = locate h mem in
+  match h.h_sims.(k) with
+  | Some sim -> Rtlsim.Sim.poke_mem sim mem addr v
+  | None -> Libdn.Remote_engine.poke_mem (Option.get h.h_remote.(k)) mem addr v
 
 (* ------------------------------------------------------------------ *)
 (* Disk snapshots                                                      *)

@@ -14,11 +14,6 @@ type handle = {
       (** live worker connections of remote-hosted units *)
 }
 
-(** FAME-5 eligibility of a wrapper unit: only instances of one module,
-    connected by pure punched-port feedthroughs.  Returns the instance
-    names and their module. *)
-val fame5_eligible : Plan.unit_part -> (string list * string) option
-
 (** Builds the network; [fame5] threads eligible wrapper units;
     [scheduler] picks the execution policy for [run]/[run_until]
     ({!Libdn.Scheduler.Sequential} by default); [telemetry] (default
@@ -50,8 +45,9 @@ val instantiate :
     processes (the software analogue of separate FPGAs), spawned from
     the [worker] binary.  Returns the live connections in
     unit order; close them when done.  Remote units have no
-    local simulator ([sim_of]/[locate] skip them) — use the
-    connection's poke/peek instead.  Snapshots DO cover remote units,
+    local simulator ([sim_of] refuses them); {!locate}, {!reader},
+    {!peek} and {!poke_mem} reach them over the pipe like any other
+    unit.  Snapshots DO cover remote units,
     through the worker pipe protocol.  [read_timeout] bounds every
     worker reply wait in seconds (a wedged worker then surfaces as
     {!Libdn.Remote_engine.Worker_died} instead of hanging).  [lanes]
@@ -108,17 +104,36 @@ val token_transfers : handle -> int
 (** The FAME-5 context of a threaded unit, for per-thread state setup. *)
 val fame5_of : handle -> int -> Goldengate.Fame5.t option
 
-(** The backing RTL simulation of a non-threaded unit (program loading,
-    state inspection).  Raises for FAME-5 units. *)
+(** The backing RTL simulation of an in-process, unthreaded unit
+    (program loading, state inspection).  Raises [Invalid_argument]
+    naming the reason for remote and FAME-5 units. *)
 val sim_of : handle -> int -> Rtlsim.Sim.t
+
+exception Unknown_signal of string list
+(** Names that no unit holds as a signal (memories included: they
+    cannot be read as one value). *)
 
 (** Which unit holds the (flattened) signal or memory [name]: local
     simulators first, then remote workers over the pipe protocol.
-    [None] when no unit holds it. *)
-val locate_opt : handle -> string -> int option
-
-(** Like {!locate_opt}, raising [Invalid_argument] when absent. *)
+    Raises [Invalid_argument] when no unit holds it.  {!reader},
+    {!peek} and {!poke_mem} resolve names the same way. *)
 val locate : handle -> string -> int
+
+(** Resolves [names] as signals and builds one batched reader of their
+    current values, in [names] order: local signals are direct
+    simulator reads, remote ones cost one [sample] round trip per
+    worker per read.  Returns each name's (unit, width) alongside.
+    Raises {!Unknown_signal} listing every name that is not a signal of
+    some unit. *)
+val reader : handle -> string list -> (int * int) array * (unit -> int array)
+
+(** The current value of signal [name] on engine [lane] (default 0),
+    from whichever unit holds it.  Raises {!Unknown_signal}. *)
+val peek : ?lane:int -> handle -> string -> int
+
+(** Writes word [addr] of memory [mem] in whichever unit holds it.
+    Raises [Invalid_argument] when no unit does. *)
+val poke_mem : handle -> string -> int -> int -> unit
 
 (** Captures the entire partitioned simulation; the thunk rolls back. *)
 val checkpoint : handle -> unit -> unit

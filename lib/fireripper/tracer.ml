@@ -14,30 +14,31 @@ type event = {
   t_pc : int;  (** PC of the committed instruction *)
 }
 
-(* Generic collector over a (step, peek) pair: a commit is visible as a
-   change of [retired]; the committed PC is the one observed before the
-   step that retired it. *)
-let collect ~step ~peek ~pc ~retired ~cycles =
+(* Generic collector over a (step, read) pair, [read] returning the
+   current (pc, retired): a commit is visible as a change of retired;
+   the committed PC is the one observed before the step that retired
+   it. *)
+let collect ~step ~read ~cycles =
   let events = ref [] in
-  let prev_ret = ref (peek retired) in
-  let prev_pc = ref (peek pc) in
+  let prev_pc, prev_ret = read () in
+  let prev_pc = ref prev_pc and prev_ret = ref prev_ret in
   for c = 1 to cycles do
     step ();
-    let r = peek retired in
+    let pc, r = read () in
     if r <> !prev_ret then events := { t_cycle = c; t_pc = !prev_pc } :: !events;
     prev_ret := r;
-    prev_pc := peek pc
+    prev_pc := pc
   done;
   List.rev !events
 
 let of_sim sim ~pc ~retired ~cycles =
   collect
     ~step:(fun () -> Rtlsim.Sim.step sim)
-    ~peek:(Rtlsim.Sim.get sim) ~pc ~retired ~cycles
+    ~read:(fun () -> (Rtlsim.Sim.get sim pc, Rtlsim.Sim.get sim retired))
+    ~cycles
 
 let of_handle handle ~pc ~retired ~cycles =
-  let pc_sim = Runtime.sim_of handle (Runtime.locate handle pc) in
-  let ret_sim = Runtime.sim_of handle (Runtime.locate handle retired) in
+  let _, read = Runtime.reader handle [ pc; retired ] in
   (* [Runtime.run] targets absolute cycle counts: continue from wherever
      the handle already is (it may have run, or been resumed from a
      snapshot). *)
@@ -46,8 +47,10 @@ let of_handle handle ~pc ~retired ~cycles =
     ~step:(fun () ->
       incr target;
       Runtime.run handle ~cycles:!target)
-    ~peek:(fun name -> Rtlsim.Sim.get (if String.equal name pc then pc_sim else ret_sim) name)
-    ~pc ~retired ~cycles
+    ~read:(fun () ->
+      let v = read () in
+      (v.(0), v.(1)))
+    ~cycles
 
 (** Per-PC commit counts, hottest first — the FirePerf-style profile. *)
 let histogram events =

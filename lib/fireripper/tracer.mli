@@ -14,8 +14,9 @@ type event = {
 val of_sim :
   Rtlsim.Sim.t -> pc:string -> retired:string -> cycles:int -> event list
 
-(** The same against a running partitioned simulation; sampling is out
-    of band (direct unit-state reads, no extra LI-BDN tokens). *)
+(** The same against a running partitioned simulation, local or remote
+    units alike; sampling is out of band (direct unit-state reads, no
+    extra LI-BDN tokens). *)
 val of_handle :
   Runtime.handle -> pc:string -> retired:string -> cycles:int -> event list
 

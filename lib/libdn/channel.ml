@@ -21,11 +21,6 @@ let token_of_ports_batch spec get_ports : token =
 let apply_token spec set (tok : token) =
   List.iteri (fun i (p, _) -> set p tok.(i)) spec.ports
 
-let pp_spec ppf spec =
-  Fmt.pf ppf "%s(%db:%a)" spec.name (width spec)
-    Fmt.(list ~sep:comma string)
-    (List.map fst spec.ports)
-
 (* ------------------------------------------------------------------ *)
 (* Cross-domain token transport                                        *)
 (* ------------------------------------------------------------------ *)

@@ -20,8 +20,6 @@ val token_of_ports_batch : spec -> (string list -> int list) -> token
 (** Applies a token's values to the channel's ports via [set]. *)
 val apply_token : spec -> (string -> int -> unit) -> token -> unit
 
-val pp_spec : Format.formatter -> spec -> unit
-
 (** Per-partition synchronization point: one mutex + condition variable
     shared by all of a partition's input queues, plus a version counter
     bumped on every mutation (the missed-wakeup guard for schedulers

@@ -80,14 +80,11 @@ val max_frame : int
 val tag_reply : char
 val tag_push : char
 
-(** [tag_frame tag payload] prefixes the tag byte. *)
-val tag_frame : char -> string -> string
-
 (** Splits a tagged payload into (tag, rest); [Invalid_argument] on an
     empty frame. *)
 val untag_frame : string -> char * string
 
-(** {!write_frame} of [tag_frame tag payload]. *)
+(** {!write_frame} of the payload prefixed with the [tag] byte. *)
 val write_tagged : ?label:string -> Unix.file_descr -> tag:char -> string -> unit
 
 (** {1 Command codec}

@@ -30,8 +30,6 @@ let policy_of_string = function
       (Printf.sprintf "unknown placement %S (accepted: %s)" s
          (String.concat "|" accepted_names))
 
-let policy_name = function Spread -> "spread" | Auto -> "auto"
-
 (* Static per-unit weight: LUTs + FFs from the resource estimator.
    Relative magnitudes are all that matters for packing. *)
 let resource_weight (u : Fireripper.Plan.unit_part) =

@@ -15,7 +15,6 @@ val accepted_names : string list
 (** The spellings {!policy_of_string} accepts: ["auto"]/["spread"]. *)
 
 val policy_of_string : string -> (policy, string) result
-val policy_name : policy -> string
 
 (** One weight per plan unit, in unit order: the load-model weight of a
     prior run's [telemetry] sink when available (keyed by unit name),

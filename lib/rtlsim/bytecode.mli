@@ -123,9 +123,6 @@ val stage_and_commit_all : t -> unit
     counts are a pure function of the program: histogram x executions.
     These walkers give the profiler the static side. *)
 
-(** The opcode-class names the histograms use, in report order. *)
-val class_names : string list
-
 (** Opcode-class histogram of one combinational pass. *)
 val comb_class_hist : t -> (string * int) list
 

@@ -1,22 +1,6 @@
-(* Value Change Dump writer: records selected signals of a simulation
-   into the standard VCD format so partitioned-simulation debug sessions
-   can be inspected in GTKWave & co.  Only changes are emitted; call
-   {!sample} once per target cycle after evaluation. *)
-
-type signal = {
-  sg_name : string;
-  sg_id : string;
-  sg_width : int;
-  mutable sg_last : int;
-}
-
-type t = {
-  buf : Buffer.t;
-  sim : Sim.t;
-  signals : signal list;
-  mutable header_done : bool;
-  mutable samples : int;
-}
+(* Value Change Dump writer: emits the standard VCD format so
+   partitioned-simulation debug sessions can be inspected in GTKWave &
+   co.  Only changes are emitted. *)
 
 (* VCD identifier characters: printable ASCII '!'..'~'. *)
 let ident n =
@@ -28,72 +12,12 @@ let ident n =
   in
   go n ""
 
-let width_of_signal sim name =
-  let i = Hashtbl.find sim.Sim.slots name in
-  sim.Sim.widths.(i)
-
-let create sim ~signals =
-  let signals =
-    List.mapi
-      (fun i name ->
-        { sg_name = name; sg_id = ident i; sg_width = width_of_signal sim name; sg_last = -1 })
-      signals
-  in
-  { buf = Buffer.create 4096; sim; signals; header_done = false; samples = 0 }
-
 let sanitize name =
   String.map (fun c -> if c = '$' || c = '.' || c = '#' then '_' else c) name
-
-let write_header t =
-  Buffer.add_string t.buf "$version fireaxe rtlsim $end\n";
-  Buffer.add_string t.buf "$timescale 1ns $end\n";
-  Buffer.add_string t.buf "$scope module top $end\n";
-  List.iter
-    (fun sg ->
-      Buffer.add_string t.buf
-        (Printf.sprintf "$var wire %d %s %s $end\n" sg.sg_width sg.sg_id (sanitize sg.sg_name)))
-    t.signals;
-  Buffer.add_string t.buf "$upscope $end\n$enddefinitions $end\n";
-  t.header_done <- true
 
 let binary_of v width =
   String.init width (fun i ->
       if v land (1 lsl (width - 1 - i)) <> 0 then '1' else '0')
-
-(** Records the current values (call after [eval_comb]); emits only the
-    signals that changed since the previous sample. *)
-let sample t =
-  if not t.header_done then write_header t;
-  let changes =
-    List.filter
-      (fun sg ->
-        let v = Sim.get t.sim sg.sg_name in
-        v <> sg.sg_last)
-      t.signals
-  in
-  if changes <> [] || t.samples = 0 then begin
-    Buffer.add_string t.buf (Printf.sprintf "#%d\n" t.samples);
-    List.iter
-      (fun sg ->
-        let v = Sim.get t.sim sg.sg_name in
-        sg.sg_last <- v;
-        if sg.sg_width = 1 then
-          Buffer.add_string t.buf (Printf.sprintf "%d%s\n" v sg.sg_id)
-        else
-          Buffer.add_string t.buf
-            (Printf.sprintf "b%s %s\n" (binary_of v sg.sg_width) sg.sg_id))
-      (if t.samples = 0 then t.signals else changes)
-  end;
-  t.samples <- t.samples + 1
-
-let contents t =
-  if not t.header_done then write_header t;
-  Buffer.contents t.buf
-
-let save t ~path =
-  let oc = open_out path in
-  output_string oc (contents t);
-  close_out oc
 
 (* A general VCD document builder, decoupled from any one simulation:
    callers declare an arbitrary scope tree of variables, then feed

@@ -1,21 +1,6 @@
-(** Value Change Dump writer: records selected signals of a simulation
-    in standard VCD format (GTKWave-compatible).  Only changes are
-    emitted; call {!sample} once per target cycle after evaluation. *)
-
-type t
-
-(** [create sim ~signals] watches the named (flattened) signals. *)
-val create : Sim.t -> signals:string list -> t
-
-(** Records the current values; emits only signals that changed since
-    the previous sample. *)
-val sample : t -> unit
-
-(** The VCD document so far. *)
-val contents : t -> string
-
-(** Writes the VCD document to [path]. *)
-val save : t -> path:string -> unit
+(** Value Change Dump writer (GTKWave-compatible): a document builder
+    fed timestamped value changes from any source.  Only changes are
+    emitted. *)
 
 (** Maps characters VCD tools choke on ([$], [.], [#]) to [_]. *)
 val sanitize : string -> string

@@ -42,6 +42,5 @@ val instant : track -> name:string -> ?args:(string * Json.t) list -> ts:float -
 (** All tracks in registration order. *)
 val tracks : t -> track list
 
-val to_json_value : t -> Json.t
 val to_json : t -> string
 val save : t -> path:string -> unit

@@ -163,13 +163,13 @@ let test_vcd_output () =
   Builder.output b "tick" 1;
   Builder.connect b "tick" Dsl.(bit c 0);
   let sim = Rtlsim.Sim.create (Builder.finish b) in
-  let vcd = Rtlsim.Vcd.create sim ~signals:[ "c"; "tick" ] in
-  for _ = 1 to 5 do
+  let vcd = Debug.Capture.of_sim sim ~probes:[ "c"; "tick" ] in
+  for cycle = 0 to 4 do
     Rtlsim.Sim.eval_comb sim;
-    Rtlsim.Vcd.sample vcd;
+    Debug.Capture.sample vcd ~cycle;
     Rtlsim.Sim.step_seq sim
   done;
-  let out = Rtlsim.Vcd.contents vcd in
+  let out = Debug.Capture.contents vcd in
   let contains needle =
     let nl = String.length needle and hl = String.length out in
     let rec go i = i + nl <= hl && (String.sub out i nl = needle || go (i + 1)) in
@@ -188,13 +188,13 @@ let test_vcd_only_changes () =
   Builder.output b "o" 4;
   Builder.connect b "o" r;
   let sim = Rtlsim.Sim.create (Builder.finish b) in
-  let vcd = Rtlsim.Vcd.create sim ~signals:[ "o" ] in
-  for _ = 1 to 10 do
+  let vcd = Debug.Capture.of_sim sim ~probes:[ "o" ] in
+  for cycle = 0 to 9 do
     Rtlsim.Sim.eval_comb sim;
-    Rtlsim.Vcd.sample vcd;
+    Debug.Capture.sample vcd ~cycle;
     Rtlsim.Sim.step_seq sim
   done;
-  let out = Rtlsim.Vcd.contents vcd in
+  let out = Debug.Capture.contents vcd in
   (* Only the initial sample should appear. *)
   let timestamps =
     String.split_on_char '\n' out |> List.filter (fun l -> String.length l > 0 && l.[0] = '#')

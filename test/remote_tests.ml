@@ -149,6 +149,11 @@ let test_missing_worker_fails_cleanly () =
     | Failure _ | Unix.Unix_error _ -> true
     | Libdn.Remote_engine.Worker_died _ -> true)
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_worker_killed_mid_run () =
   (* A worker killed mid-run (an FPGA falling off the fabric) must
      surface as a [Worker_died] diagnosis naming the partition and the
@@ -166,11 +171,6 @@ let test_worker_killed_mid_run () =
     Alcotest.(check string)
       "label names the partition" plan.FR.Plan.p_units.(1).FR.Plan.u_name label;
     Alcotest.(check string) "command in flight recorded" "get tile$core$pc" last_command;
-    let contains hay needle =
-      let nl = String.length needle and hl = String.length hay in
-      let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-      go 0
-    in
     check_bool
       (Printf.sprintf "status %S mentions the killing signal" status)
       true (contains status "signal"));
@@ -188,6 +188,70 @@ let test_has_query () =
   check_bool "memory-unit signal absent" false (Libdn.Remote_engine.has conn "mem$state");
   List.iter (fun (_, c) -> Libdn.Remote_engine.close c) conns
 
+(* The Kite SoC with the program loaded into the memory unit (unit 0,
+   local in every handle below) through the resolver. *)
+let loaded_soc h =
+  List.iteri
+    (fun i w -> FR.Runtime.poke_mem h "mem$mem" i w)
+    (Socgen.Kite_isa.assemble program);
+  List.iter (fun (a, v) -> FR.Runtime.poke_mem h "mem$mem" a v) data;
+  h
+
+let test_sim_of_names_remote_unit () =
+  let plan = soc_plan () in
+  let h, conns = FR.Runtime.instantiate_remote ~worker ~remote_units:[ 1 ] plan in
+  (match FR.Runtime.sim_of h 1 with
+  | _ -> Alcotest.fail "expected sim_of to refuse the remote unit"
+  | exception Invalid_argument msg ->
+    check_bool (Printf.sprintf "%S names the unit as remote" msg) true
+      (contains msg "remote"
+      && contains msg plan.FR.Plan.p_units.(1).FR.Plan.u_name
+      && not (contains msg "FAME-5")));
+  List.iter (fun (_, c) -> Libdn.Remote_engine.close c) conns
+
+let test_counters_and_tracer_on_remote_unit () =
+  (* Out-of-band sampling reads through the resolver: with the tile in
+     a worker, counters and traces equal the all-local run's. *)
+  let plan = soc_plan () in
+  let local = loaded_soc (FR.Runtime.instantiate plan) in
+  let remote, conns = FR.Runtime.instantiate_remote ~worker ~remote_units:[ 1 ] plan in
+  let remote = loaded_soc remote in
+  let signals = [ "tile$core$pc"; "mem$state"; "tile$core$retired_count" ] in
+  let counters h = FR.Counters.collect h ~signals ~every:100 ~cycles:600 in
+  let want = counters local in
+  check_int "samples" 6 (List.length want);
+  check_bool "Counters.collect identical" true (counters remote = want);
+  let trace h = FR.Tracer.of_handle h ~pc:"tile$core$pc" ~retired:"tile$core$retired_count" ~cycles:600 in
+  let want = trace local in
+  check_bool "trace has commits" true (want <> []);
+  check_bool "Tracer.of_handle identical" true (trace remote = want);
+  List.iter (fun (_, c) -> Libdn.Remote_engine.close c) conns
+
+let test_peek_lane_matches_worker () =
+  let plan = soc_plan () in
+  let h, conns = FR.Runtime.instantiate_remote ~lanes:2 ~worker ~remote_units:[ 1 ] plan in
+  let h = loaded_soc h in
+  let conn = List.assoc 1 conns in
+  FR.Runtime.run h ~cycles:400;
+  List.iter
+    (fun name ->
+      check_int name (Libdn.Remote_engine.get conn name) (FR.Runtime.peek h name);
+      for lane = 0 to 1 do
+        check_int
+          (Printf.sprintf "%s lane %d" name lane)
+          (Libdn.Remote_engine.get_lane conn name ~lane)
+          (FR.Runtime.peek ~lane h name)
+      done)
+    [ "tile$core$pc"; "tile$core$retired_count" ];
+  check_bool "retired something" true (FR.Runtime.peek h "tile$core$retired_count" > 0);
+  FR.Runtime.poke_mem h "tile$core$rf" 3 42;
+  check_int "poke_mem reaches the worker" 42
+    (Libdn.Remote_engine.peek_mem conn "tile$core$rf" 3);
+  (match FR.Runtime.peek h "tile$core$rf" with
+  | _ -> Alcotest.fail "a memory is not a signal"
+  | exception FR.Runtime.Unknown_signal [ "tile$core$rf" ] -> ());
+  List.iter (fun (_, c) -> Libdn.Remote_engine.close c) conns
+
 let suite =
   [
     ( "libdn.remote",
@@ -200,5 +264,10 @@ let suite =
         Alcotest.test_case "missing worker fails cleanly" `Quick test_missing_worker_fails_cleanly;
         Alcotest.test_case "worker killed mid-run" `Quick test_worker_killed_mid_run;
         Alcotest.test_case "has query" `Quick test_has_query;
+        Alcotest.test_case "sim_of names a remote unit" `Quick test_sim_of_names_remote_unit;
+        Alcotest.test_case "counters and tracer on a remote unit" `Quick
+          test_counters_and_tracer_on_remote_unit;
+        Alcotest.test_case "peek per lane matches the worker" `Quick
+          test_peek_lane_matches_worker;
       ] );
   ]
